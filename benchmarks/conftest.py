@@ -1,0 +1,8 @@
+"""Lets `python3 -m pytest benchmarks` import the package from src/."""
+
+import pathlib
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
