@@ -37,6 +37,7 @@ from regionvote.noise import (
     PlacementInfeasibleError,
     _sample_disjoint_anchors,
 )
+from regionvote.shifting import best_partition
 from regionvote.voting import Winner, plurality_winner, tally_global, tally_regional
 
 
@@ -191,8 +192,6 @@ def scheme_winner(noisy: Grid, scheme: Scheme, spec: BlockNoiseSpec | None = Non
         return tally_regional(noisy, scheme.partition).winner
     if spec is None:
         raise ValueError("best-shift evaluation needs the noise block spec")
-    from regionvote.shifting import best_partition
-
     chosen = best_partition((noisy.width, noisy.height), scheme.region_edge, spec).partition
     return tally_regional(noisy, chosen).winner
 
@@ -205,6 +204,8 @@ class BreakdownResult:
     witness: BlockNoiseSpec | None
     trials: int = 0
     overturns: int = 0
+    skipped_infeasible: int = 0
+    skipped_zero_flip: int = 0
 
     @property
     def found(self) -> bool:
@@ -218,6 +219,8 @@ class BreakdownResult:
             "witness": None if self.witness is None else self.witness.to_json_dict(),
             "trials": self.trials,
             "overturns": self.overturns,
+            "skipped_infeasible": self.skipped_infeasible,
+            "skipped_zero_flip": self.skipped_zero_flip,
         }
 
     def to_json(self) -> str:
@@ -278,20 +281,16 @@ def _exhaustive_global(grid: Grid, budget: int, target: int, flip_to: int) -> Br
 def _exhaustive_regional(
     grid: Grid, partition: Partition, budget: int, target: int, flip_to: int
 ) -> BreakdownResult:
-    dims = (grid.width, grid.height)
-    n_regions = partition.region_count(dims)
-    tally = tally_regional(grid, partition)
-    region_counts = _per_region_counts(grid, partition)
-    region_target_cells: list[list[int]] = [[] for _ in range(n_regions)]
-    from regionvote.grid import region_of
-
-    for idx, v in enumerate(grid.votes):
-        if v == target:
-            cell = (idx % grid.width, idx // grid.width)
-            region_target_cells[region_of(partition, dims, cell)].append(idx)
+    state = _FastState(grid, target, flip_to)
+    counts, winners, regions_won = state.partition_baseline(partition)
+    n_regions = len(winners)
+    target_idx = np.flatnonzero(state.votes == target)
+    target_regions = _region_labels(partition, state.dims)[target_idx]
+    region_target_cells = [target_idx[target_regions == r].tolist() for r in range(n_regions)]
     caps = [len(cells) for cells in region_target_cells]
-    base_won = list(tally.regions_won)
-    base_winners = list(tally.region_winners)
+    region_counts = counts.tolist()
+    base_won = regions_won.tolist()
+    base_winners = [None if w < 0 else w for w in winners.tolist()]
 
     def try_allocation(alloc: list[int]) -> bool:
         won = list(base_won)
@@ -340,122 +339,135 @@ def _exhaustive_regional(
     )
 
 
-def _per_region_counts(grid: Grid, partition: Partition) -> list[list[int]]:
-    from regionvote.grid import region_of
-
-    dims = (grid.width, grid.height)
-    n_regions = partition.region_count(dims)
-    counts = [[0] * grid.candidate_count for _ in range(n_regions)]
-    for idx, v in enumerate(grid.votes):
-        cell = (idx % grid.width, idx // grid.width)
-        counts[region_of(partition, dims, cell)][v] += 1
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # randomized concentrated search
+
+
+def _region_labels(partition: Partition, dims: GridDims) -> np.ndarray:
+    """Region index of every cell, flat in row-major cell order."""
+    partition.validate_for(dims)
+    width, height = dims
+    cols = ((np.arange(width) + partition.dx) % width) // partition.region_width
+    rows = ((np.arange(height) + partition.dy) % height) // partition.region_height
+    return (cols[None, :] + (width // partition.region_width) * rows[:, None]).ravel()
+
+
+def _strict_winners(counts: np.ndarray) -> np.ndarray:
+    """Strict plurality of each row of a (regions, candidates) array, -1 on a tie."""
+    top = counts.max(axis=1)
+    unique = (counts == top[:, None]).sum(axis=1) == 1
+    return np.where(unique, counts.argmax(axis=1), -1)
+
+
+def _regions_won(winners: np.ndarray, candidates: int) -> np.ndarray:
+    return np.bincount(winners[winners >= 0], minlength=candidates)
+
+
+def _axis_segments(
+    anchors: np.ndarray, extent: int, shift: int, axis_cells: int, region_edge: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut block extents at region boundaries: (start, stop, region), each
+    (blocks, K) with K = ceil((extent - 1) / region_edge) + 1; pieces past
+    a block's end are empty (start == stop)."""
+    k = -(-(extent - 1) // region_edge) + 1
+    stop = (anchors + extent)[:, None]
+    room = region_edge - (anchors + shift) % region_edge
+    cuts = (anchors + room)[:, None] + region_edge * np.arange(k - 1)
+    bounds = np.minimum(np.concatenate([anchors[:, None], cuts, stop], axis=1), stop)
+    start = bounds[:, :-1]
+    return start, bounds[:, 1:], ((start + shift) % axis_cells) // region_edge
 
 
 class _FastState:
     """Summed-area table and per-partition baselines for one grid."""
 
     def __init__(self, grid: Grid, target: int, flip_to: int):
-        self.grid = grid
         self.target = target
         self.flip_to = flip_to
         self.dims: GridDims = (grid.width, grid.height)
-        votes = np.asarray(grid.votes, dtype=np.int64).reshape(grid.height, grid.width)
-        mask = (votes == target).astype(np.int64)
+        self.candidates = grid.candidate_count
+        self.votes = np.asarray(grid.votes, dtype=np.int64)
+        mask = (self.votes == target).reshape(grid.height, grid.width)
         sat = np.zeros((grid.height + 1, grid.width + 1), dtype=np.int64)
         sat[1:, 1:] = mask.cumsum(0).cumsum(1)
         self.sat = sat
-        self.base_counts = list(grid.counts())
+        self.base_counts = np.bincount(self.votes, minlength=self.candidates)
         self._partition_cache: dict[Partition, tuple] = {}
-
-    def rect_target_count(self, x0: int, y0: int, w: int, h: int) -> int:
-        s = self.sat
-        return int(s[y0 + h, x0 + w] - s[y0, x0 + w] - s[y0 + h, x0] + s[y0, x0])
+        self._choosers: dict[int, _ShiftChooser] = {}
 
     def block_flips(self, ax: np.ndarray, ay: np.ndarray, edge: int) -> int:
-        s = self.sat
-        return int(
-            (
-                s[ay + edge, ax + edge]
-                - s[ay, ax + edge]
-                - s[ay + edge, ax]
-                + s[ay, ax]
-            ).sum()
-        )
+        s, x1, y1 = self.sat, ax + edge, ay + edge
+        return int((s[y1, x1] - s[ay, x1] - s[y1, ax] + s[ay, ax]).sum())
 
     def partition_baseline(self, partition: Partition):
+        """(region counts, region winners with -1 for a tie, regions won)."""
         cached = self._partition_cache.get(partition)
         if cached is None:
-            counts = _per_region_counts(self.grid, partition)
-            winners = [plurality_winner(c) for c in counts]
-            won = [0] * self.grid.candidate_count
-            for w in winners:
-                if w is not None:
-                    won[w] += 1
-            cached = (counts, winners, won)
+            c = self.candidates
+            n_regions = partition.region_count(self.dims)
+            labels = _region_labels(partition, self.dims)
+            counts = np.bincount(labels * c + self.votes, minlength=n_regions * c)
+            counts = counts.reshape(n_regions, c)
+            winners = _strict_winners(counts)
+            cached = (counts, winners, _regions_won(winners, c))
             self._partition_cache[partition] = cached
         return cached
 
-    def region_flip_counts(
-        self, partition: Partition, anchors, edge: int
-    ) -> dict[int, int]:
-        """Flips each region receives from the blocks, via sub-rectangles."""
-        width, height = self.dims
-        n_cols = width // partition.region_width
-        out: dict[int, int] = {}
-        for ax, ay in anchors:
-            xsegs = _axis_split(ax, edge, partition.dx, width, partition.region_width)
-            ysegs = _axis_split(ay, edge, partition.dy, height, partition.region_height)
-            for y0, hh, row in ysegs:
-                for x0, ww, col in xsegs:
-                    f = self.rect_target_count(x0, y0, ww, hh)
-                    if f:
-                        rid = col + n_cols * row
-                        out[rid] = out.get(rid, 0) + f
-        return out
+    def block_outcome(
+        self, partition: Partition, ax: np.ndarray, ay: np.ndarray, edge: int
+    ) -> Winner:
+        """Regional winner once every target cell under the blocks flips.
 
-    def regional_outcome(self, partition: Partition, anchors, edge: int) -> Winner:
+        Each block is cut at region boundaries on both axes, the pieces'
+        target counts come from the summed-area table and are summed per
+        region, and only the touched regions are re-tallied.
+        """
         counts, winners, won = self.partition_baseline(partition)
-        flips = self.region_flip_counts(partition, anchors, edge)
-        new_won = list(won)
-        for rid, f in flips.items():
-            adjusted = list(counts[rid])
-            adjusted[self.target] -= f
-            adjusted[self.flip_to] += f
-            new_w = plurality_winner(adjusted)
-            old_w = winners[rid]
-            if old_w is not None:
-                new_won[old_w] -= 1
-            if new_w is not None:
-                new_won[new_w] += 1
-        return plurality_winner(new_won)
+        width, height = self.dims
+        x0, x1, col = _axis_segments(ax, edge, partition.dx, width, partition.region_width)
+        y0, y1, row = _axis_segments(ay, edge, partition.dy, height, partition.region_height)
+        x0, x1, col = x0[:, None, :], x1[:, None, :], col[:, None, :]
+        y0, y1, row = y0[:, :, None], y1[:, :, None], row[:, :, None]
+        s = self.sat
+        pieces = s[y1, x1] - s[y0, x1] - s[y1, x0] + s[y0, x0]
+        regions = col + (width // partition.region_width) * row
+        flips = np.bincount(regions.ravel(), pieces.ravel(), minlength=len(winners))
+        touched = np.flatnonzero(flips)
+        f = flips[touched].astype(np.int64)
+        adjusted = counts[touched]
+        adjusted[:, self.target] -= f
+        adjusted[:, self.flip_to] += f
+        lost = _regions_won(winners[touched], self.candidates)
+        gained = _regions_won(_strict_winners(adjusted), self.candidates)
+        return plurality_winner((won - lost + gained).tolist())
 
     def global_outcome(self, total_flips: int) -> Winner:
-        adjusted = list(self.base_counts)
+        adjusted = self.base_counts.copy()
         adjusted[self.target] -= total_flips
         adjusted[self.flip_to] += total_flips
-        return plurality_winner(adjusted)
+        return plurality_winner(adjusted.tolist())
 
+    def scheme_outcome(
+        self, scheme: Scheme, ax: np.ndarray, ay: np.ndarray, edge: int, flips: int
+    ) -> Winner:
+        """The scheme's winner once the blocks, holding flips target cells, flip."""
+        if isinstance(scheme, GlobalScheme):
+            return self.global_outcome(flips)
+        if isinstance(scheme, RegionalScheme):
+            return self.block_outcome(scheme.partition, ax, ay, edge)
+        chosen = self.best_shift(scheme.region_edge, ax, ay, edge)
+        return self.block_outcome(chosen, ax, ay, edge)
 
-def _axis_split(
-    anchor: int, extent: int, shift: int, axis_cells: int, region_edge: int
-) -> list[tuple[int, int, int]]:
-    """Split a block extent at region boundaries: (start, length, region)."""
-    n_regions = axis_cells // region_edge
-    out = []
-    x = anchor
-    end = anchor + extent
-    while x < end:
-        shifted = (x + shift) % axis_cells
-        room = region_edge - (shifted % region_edge)
-        step = min(room, end - x)
-        out.append((x, step, (shifted // region_edge) % n_regions))
-        x += step
-    return out
+    def best_shift(self, region_edge: int, ax: np.ndarray, ay: np.ndarray, edge: int) -> Partition:
+        """The shift touching the fewest regions, as shifting.best_partition picks it."""
+        if edge > region_edge:
+            anchors = tuple(zip(ax.tolist(), ay.tolist()))
+            probe = BlockNoiseSpec(edge, anchors, self.target, self.flip_to, 1.0)
+            return best_partition(self.dims, region_edge, probe).partition
+        if region_edge not in self._choosers:
+            self._choosers[region_edge] = _ShiftChooser(self.dims, region_edge)
+        chooser = self._choosers[region_edge]
+        return chooser.partitions[int(np.argmin(chooser.counts(ax, ay, edge)))]
 
 
 class _ShiftChooser:
@@ -471,11 +483,10 @@ class _ShiftChooser:
         self.n_cols = dims[0] // region_edge
         self.n_rows = dims[1] // region_edge
         n_regions = self.n_cols * self.n_rows
-        shifts = [(dx, dy) for dx in range(region_edge) for dy in range(region_edge)]
-        self.dx = np.array([s[0] for s in shifts])[:, None]
-        self.dy = np.array([s[1] for s in shifts])[:, None]
-        self.n_shifts = len(shifts)
-        self.buf = np.zeros((self.n_shifts, n_regions), dtype=bool)
+        self.partitions = enumerate_partitions(region_edge)
+        self.dx = np.array([p.dx for p in self.partitions])[:, None]
+        self.dy = np.array([p.dy for p in self.partitions])[:, None]
+        self.buf = np.zeros((len(self.partitions), n_regions), dtype=bool)
 
     def counts(self, ax: np.ndarray, ay: np.ndarray, block_edge: int) -> np.ndarray:
         width, height = self.dims
@@ -486,16 +497,8 @@ class _ShiftChooser:
         c1 = ((sx + block_edge - 1) % width) // e
         r0 = sy // e
         r1 = ((sy + block_edge - 1) % height) // e
-        ids = np.concatenate(
-            [
-                c0 + self.n_cols * r0,
-                c1 + self.n_cols * r0,
-                c0 + self.n_cols * r1,
-                c1 + self.n_cols * r1,
-            ],
-            axis=1,
-        )
-        rows = np.arange(self.n_shifts)[:, None]
+        ids = np.concatenate([c + self.n_cols * r for r in (r0, r1) for c in (c0, c1)], axis=1)
+        rows = np.arange(len(self.partitions))[:, None]
         self.buf[rows, ids] = True
         out = self.buf.sum(axis=1)
         self.buf[rows, ids] = False
@@ -518,70 +521,55 @@ def randomized_breakdown(
     each trial, places that many disjoint blocks uniformly, flips every
     target cell under them, and records the flip count whenever the
     scheme's winner changes. The result is an upper bound on the true
-    breakdown. Trials whose placement cannot be completed are skipped.
+    breakdown. Trials whose placement cannot be completed, or whose blocks
+    cover no target cell, are skipped and counted in the result. A
+    negative trial count or a block edge the grid cannot hold is refused
+    before the first trial.
     """
     lo, hi = block_counts
     if not (1 <= lo <= hi):
         raise ValueError("block_counts must satisfy 1 <= lo <= hi")
-    base_winner = scheme_winner(grid, scheme, _empty_spec(block_edge, target, flip_to))
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
+    if not 1 <= block_edge <= min(grid.width, grid.height):
+        raise ValueError(
+            f"block_edge must lie in [1, {min(grid.width, grid.height)}] "
+            f"for a {grid.width}x{grid.height} grid"
+        )
+    base_winner = scheme_winner(grid, scheme, BlockNoiseSpec(block_edge, (), target, flip_to))
     if base_winner != target:
         raise ValueError(f"grid winner is {base_winner}, expected target {target}")
     state = _FastState(grid, target, flip_to)
-    dims = state.dims
-    rng = np.random.default_rng(seed)
-
-    chooser = None
-    partitions = None
     if isinstance(scheme, BestShiftScheme):
-        partitions = enumerate_partitions(scheme.region_edge)
-        for p in partitions:
-            p.validate_for(dims)
+        for p in enumerate_partitions(scheme.region_edge):
             state.partition_baseline(p)
-        if block_edge <= scheme.region_edge:
-            chooser = _ShiftChooser(dims, scheme.region_edge)
-    elif isinstance(scheme, RegionalScheme):
-        scheme.partition.validate_for(dims)
+    rng = np.random.default_rng(seed)
 
     best_flips: int | None = None
     best_witness: BlockNoiseSpec | None = None
-    overturns = 0
+    overturns = skipped_infeasible = skipped_zero_flip = 0
     for _ in range(trials):
         count = int(rng.integers(lo, hi + 1))
         try:
-            anchors = _sample_disjoint_anchors(rng, dims, block_edge, count)
+            ax, ay = _sample_disjoint_anchors(rng, state.dims, block_edge, count)
         except PlacementInfeasibleError:
+            skipped_infeasible += 1
             continue
-        ax = np.array([a[0] for a in anchors])
-        ay = np.array([a[1] for a in anchors])
         flips = state.block_flips(ax, ay, block_edge)
         if flips == 0:
+            skipped_zero_flip += 1
             continue
-        if isinstance(scheme, GlobalScheme):
-            winner = state.global_outcome(flips)
-        elif isinstance(scheme, RegionalScheme):
-            winner = state.regional_outcome(scheme.partition, anchors, block_edge)
-        else:
-            if chooser is not None:
-                counts = chooser.counts(ax, ay, block_edge)
-                chosen = partitions[int(np.argmin(counts))]
-            else:
-                from regionvote.shifting import best_partition
-
-                probe = BlockNoiseSpec(block_edge, anchors, target, flip_to, 1.0)
-                chosen = best_partition(dims, scheme.region_edge, probe).partition
-            winner = state.regional_outcome(chosen, anchors, block_edge)
+        winner = state.scheme_outcome(scheme, ax, ay, block_edge, flips)
         if winner is not None and winner != target:
             overturns += 1
             if best_flips is None or flips < best_flips:
                 best_flips = flips
+                anchors = tuple(zip(ax.tolist(), ay.tolist()))
                 best_witness = BlockNoiseSpec(block_edge, anchors, target, flip_to, 1.0)
     return BreakdownResult(
-        scheme_label(scheme), "randomized", best_flips, best_witness, trials, overturns
+        scheme_label(scheme), "randomized", best_flips, best_witness, trials, overturns,
+        skipped_infeasible, skipped_zero_flip,
     )
-
-
-def _empty_spec(block_edge: int, target: int, flip_to: int) -> BlockNoiseSpec:
-    return BlockNoiseSpec(block_edge, (), target, flip_to, 1.0)
 
 
 def greedy_block_breakdown(
@@ -598,34 +586,23 @@ def greedy_block_breakdown(
     """
     state = _FastState(grid, target, flip_to)
     width, height = state.dims
-    anchors: list[tuple[int, int]] = []
-    flips = 0
+    xs: list[int] = []
+    ys: list[int] = []
     for ay in range(0, height - block_edge + 1, block_edge):
         for ax in range(0, width - block_edge + 1, block_edge):
-            anchors.append((ax, ay))
-            flips += state.rect_target_count(ax, ay, block_edge, block_edge)
+            xs.append(ax)
+            ys.append(ay)
+            ax_arr, ay_arr = np.array(xs), np.array(ys)
+            flips = state.block_flips(ax_arr, ay_arr, block_edge)
             if flips == 0:
                 continue
-            if isinstance(scheme, GlobalScheme):
-                winner = state.global_outcome(flips)
-            elif isinstance(scheme, RegionalScheme):
-                winner = state.regional_outcome(scheme.partition, anchors, block_edge)
-            else:
-                from regionvote.shifting import best_partition
-
-                probe = BlockNoiseSpec(block_edge, tuple(anchors), target, flip_to, 1.0)
-                chosen = best_partition(
-                    state.dims, scheme.region_edge, probe
-                ).partition
-                winner = state.regional_outcome(chosen, anchors, block_edge)
+            winner = state.scheme_outcome(scheme, ax_arr, ay_arr, block_edge, flips)
             if winner is not None and winner != target:
-                witness = BlockNoiseSpec(
-                    block_edge, tuple(anchors), target, flip_to, 1.0
-                )
+                witness = BlockNoiseSpec(block_edge, tuple(zip(xs, ys)), target, flip_to, 1.0)
                 return BreakdownResult(
-                    scheme_label(scheme), "greedy", flips, witness, len(anchors), 1
+                    scheme_label(scheme), "greedy", flips, witness, len(xs), 1
                 )
-    return BreakdownResult(scheme_label(scheme), "greedy", None, None, len(anchors), 0)
+    return BreakdownResult(scheme_label(scheme), "greedy", None, None, len(xs), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -669,24 +646,14 @@ def salt_pepper_threshold(
     """
     if isinstance(scheme, BestShiftScheme):
         raise ValueError("dispersed noise has no blocks for best-shift to dodge")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     state = _FastState(grid, target, flip_to)
-    votes_flat = np.asarray(grid.votes, dtype=np.int64)
-    target_idx = np.flatnonzero(votes_flat == target)
+    target_idx = np.flatnonzero(state.votes == target)
     n_t = target_idx.size
     if isinstance(scheme, RegionalScheme):
-        partition = scheme.partition
-        counts, winners, won = state.partition_baseline(partition)
-        counts_arr = np.array(counts, dtype=np.int64)
-        from regionvote.grid import region_of
-
-        region_idx = np.array(
-            [
-                region_of(partition, state.dims, (int(i) % grid.width, int(i) // grid.width))
-                for i in target_idx
-            ],
-            dtype=np.int64,
-        )
-        n_regions = counts_arr.shape[0]
+        counts = state.partition_baseline(scheme.partition)[0]
+        region_idx = _region_labels(scheme.partition, state.dims)[target_idx]
     rng = np.random.default_rng(seed)
     points = []
     for rate in rates:
@@ -701,20 +668,12 @@ def salt_pepper_threshold(
                     overturns += 1
         else:
             for t in range(trials):
-                f_by_region = np.bincount(
-                    region_idx[flips_mat[t]], minlength=n_regions
-                )
-                adjusted = counts_arr.copy()
+                f_by_region = np.bincount(region_idx[flips_mat[t]], minlength=len(counts))
+                adjusted = counts.copy()
                 adjusted[:, target] -= f_by_region
                 adjusted[:, flip_to] += f_by_region
-                new_won = [0] * grid.candidate_count
-                maxes = adjusted.max(axis=1)
-                argmaxes = adjusted.argmax(axis=1)
-                unique = (adjusted == maxes[:, None]).sum(axis=1) == 1
-                for rid in range(n_regions):
-                    if unique[rid]:
-                        new_won[int(argmaxes[rid])] += 1
-                w = plurality_winner(new_won)
+                won = _regions_won(_strict_winners(adjusted), grid.candidate_count)
+                w = plurality_winner(won.tolist())
                 if w is not None and w != target:
                     overturns += 1
         freq = overturns / trials

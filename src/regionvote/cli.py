@@ -676,6 +676,8 @@ def cmd_breakdown(cfg: BreakdownConfig, out_dir: pathlib.Path, fmt: str) -> int:
         body += f"scheme,{result.scheme}\nsearch_mode,{result.search_mode}\n"
         body += f"min_flips,{'' if result.min_flips is None else result.min_flips}\n"
         body += f"trials,{result.trials}\noverturns,{result.overturns}\n"
+        body += f"skipped_infeasible,{result.skipped_infeasible}\n"
+        body += f"skipped_zero_flip,{result.skipped_zero_flip}\n"
     else:
         body = f"config: {_echo_json(echo)}\n\n"
         body += f"grid {cfg.width}x{cfg.height}, counts {counts[0]}/{counts[1]}\n"
@@ -685,7 +687,10 @@ def cmd_breakdown(cfg: BreakdownConfig, out_dir: pathlib.Path, fmt: str) -> int:
         else:
             body += f"minimum flips found: {result.min_flips}\n"
         if result.trials:
-            body += f"trials {result.trials}, overturns {result.overturns}\n"
+            body += (
+                f"trials {result.trials}, overturns {result.overturns}, skipped"
+                f" {result.skipped_infeasible} infeasible, {result.skipped_zero_flip} zero-flip\n"
+            )
     _write(out_dir, f"breakdown.{fmt}", body)
     if result.min_flips is None:
         print("breakdown: no overturn found")

@@ -488,6 +488,8 @@ def run_conjecture_experiment(
     pair draws one noisy probe shared by every region count, so the rate
     curves are paired sample by sample.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     global_model = train_global(gallery, k)
     regional_models = {rc: train_regional(gallery, rc, k) for rc in region_counts}
     rng = np.random.default_rng(seed)

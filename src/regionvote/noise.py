@@ -253,10 +253,10 @@ def random_anchor_placement(
     PlacementInfeasibleError once a block exhausts its retry budget.
     """
     rng = np.random.default_rng(seed)
-    anchors = _sample_disjoint_anchors(rng, dims, block_edge, block_count, max_tries_per_block)
+    ax, ay = _sample_disjoint_anchors(rng, dims, block_edge, block_count, max_tries_per_block)
     return BlockNoiseSpec(
         block_edge=block_edge,
-        anchors=anchors,
+        anchors=tuple(zip(ax.tolist(), ay.tolist())),
         target=target,
         flip_to=flip_to,
         flip_probability=flip_probability,
@@ -270,7 +270,19 @@ def _sample_disjoint_anchors(
     block_edge: int,
     block_count: int,
     max_tries_per_block: int = 200,
-) -> tuple[Cell, ...]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random sequential adsorption of disjoint blocks: anchor x and y arrays.
+
+    Candidates are iid uniform flat indices over the anchor lattice. They
+    are offered in draw order: each is accepted unless it overlaps a block
+    accepted before it, and PlacementInfeasibleError is raised once a
+    block has seen max_tries_per_block candidates without an acceptance.
+    That is the one-candidate-at-a-time law; only the draws are batched.
+    A batch holds twice the blocks still to place plus the tries the
+    current block has used, so a crowded lattice reaches the budget in a
+    few draws. Blocking only grows, so a candidate already blocked when
+    its batch is drawn is rejected without a Python step.
+    """
     width, height = dims
     ax_max = width - block_edge + 1
     ay_max = height - block_edge + 1
@@ -278,25 +290,41 @@ def _sample_disjoint_anchors(
         raise PlacementInfeasibleError(
             f"block edge {block_edge} exceeds grid {width}x{height}"
         )
-    # blocked[ay, ax] marks anchors that would overlap an accepted block.
-    blocked = np.zeros((ay_max, ax_max), dtype=bool)
-    anchors: list[Cell] = []
-    for _ in range(block_count):
-        for attempt in range(max_tries_per_block):
-            ax = int(rng.integers(0, ax_max))
-            ay = int(rng.integers(0, ay_max))
-            if not blocked[ay, ax]:
-                anchors.append((ax, ay))
-                y0 = max(0, ay - block_edge + 1)
-                x0 = max(0, ax - block_edge + 1)
-                blocked[y0 : ay + block_edge, x0 : ax + block_edge] = True
+    # blocked[ay, ax] marks anchors that would overlap an accepted block;
+    # it is a view into a padded mask so a block's window needs no clipping.
+    pad = block_edge - 1
+    window = 2 * block_edge - 1
+    padded = np.zeros((ay_max + 2 * pad, ax_max + 2 * pad), dtype=bool)
+    blocked = padded[pad : pad + ay_max, pad : pad + ax_max]
+    accepted: list[int] = []
+    tries = 0  # candidates the current block saw in earlier batches
+    while len(accepted) < block_count:
+        size = 2 * (block_count - len(accepted)) + tries
+        ys, xs = np.divmod(rng.integers(0, ax_max * ay_max, size=size), ax_max)
+        xl, yl = xs.tolist(), ys.tolist()
+        start = 0  # the current block's first candidate in this batch
+        for i in np.flatnonzero(~blocked[ys, xs]).tolist():
+            if tries + i - start >= max_tries_per_block:
+                break
+            x, y = xl[i], yl[i]
+            if blocked[y, x]:
+                continue
+            accepted.append(y * ax_max + x)
+            padded[y : y + window, x : x + window] = True
+            tries, start = 0, i + 1
+            if len(accepted) == block_count:
                 break
         else:
+            tries += size - start
+            if tries < max_tries_per_block:
+                continue
+        if len(accepted) < block_count:
             raise PlacementInfeasibleError(
-                f"could not place block {len(anchors) + 1} of {block_count} "
+                f"could not place block {len(accepted) + 1} of {block_count} "
                 f"after {max_tries_per_block} tries"
             )
-    return tuple(anchors)
+    flat = np.array(accepted, dtype=np.int64)
+    return flat % ax_max, flat // ax_max
 
 
 def orthomeasure(area: NoiseArea) -> int:

@@ -272,3 +272,37 @@ def test_threshold_csv_shape():
     lines = threshold_curve_to_csv(curve).strip().splitlines()
     assert lines[0] == "rate,overturn_frequency,ci_low,ci_high"
     assert len(lines) == 2
+
+
+def test_randomized_counts_skipped_trials():
+    g = generate_grid(GridGenSpec(6, 6, 0.6, "uniform_random", seed=3))
+    # four 3x3 blocks fill a 6x6 grid only when aligned, so most placements fail
+    result = randomized_breakdown(g, GlobalScheme(), block_edge=3, block_counts=(4, 4), trials=50, seed=1)
+    assert result.trials == 50
+    assert result.skipped_infeasible > 0
+    assert result.to_json_dict()["skipped_infeasible"] == result.skipped_infeasible
+    everyone_rival = Grid(4, 4, 2, (0,) + (1,) * 3 + (0,) * 12)
+    sparse = randomized_breakdown(
+        everyone_rival, GlobalScheme(), block_edge=1, block_counts=(1, 1), trials=64, seed=2
+    )
+    hits = 64 - sparse.skipped_zero_flip - sparse.skipped_infeasible
+    assert sparse.skipped_infeasible == 0 and 0 < sparse.skipped_zero_flip < 64
+    assert sparse.to_json_dict()["skipped_zero_flip"] == sparse.skipped_zero_flip
+    assert hits > 0
+
+
+def test_randomized_rejects_bad_trials_and_block_edge():
+    g = generate_grid(GridGenSpec(6, 6, 0.6, "uniform_random", seed=3))
+    with pytest.raises(ValueError, match="trials"):
+        randomized_breakdown(g, GlobalScheme(), block_edge=1, block_counts=(1, 2), trials=-5)
+    assert randomized_breakdown(g, GlobalScheme(), 1, (1, 2), trials=0).trials == 0
+    for edge in (0, 7):
+        with pytest.raises(ValueError, match="block_edge"):
+            randomized_breakdown(g, GlobalScheme(), block_edge=edge, block_counts=(1, 2), trials=10)
+
+
+def test_salt_pepper_rejects_nonpositive_trials():
+    g = generate_grid(GridGenSpec(10, 10, 0.6, "uniform_random", seed=18))
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            salt_pepper_threshold(g, GlobalScheme(), (0.1,), trials=trials, seed=0)

@@ -148,6 +148,21 @@ def test_breakdown_randomized_runs(tmp_path):
     assert run_cli("breakdown", "--config", str(cfg), "--out", str(out), "--format", "json", "--seed", "1") == 0
     payload = json.loads(read(out / "breakdown.json"))
     assert payload["result"]["trials"] == 150
+    assert payload["result"]["skipped_infeasible"] >= 0
+    assert payload["result"]["skipped_zero_flip"] >= 0
+    assert run_cli("breakdown", "--config", str(cfg), "--out", str(out), "--format", "csv", "--seed", "1") == 0
+    assert "skipped_infeasible," in read(out / "breakdown.csv")
+    assert run_cli("breakdown", "--config", str(cfg), "--out", str(out), "--seed", "1") == 0
+    assert "infeasible" in read(out / "breakdown.txt")
+
+
+@pytest.mark.parametrize("line", ["block_edge=9", "trials=-5"])
+def test_breakdown_randomized_bad_config_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"search=randomized\n{line}\n")
+    assert run_cli("breakdown", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_eigen_zero_noise_recognizes_everything(tmp_path):

@@ -205,3 +205,8 @@ def test_conjecture_experiment_rows_and_pairing():
     assert csv[0] == "region_count,noise_level,trial,correct,fraction_regions_won"
     assert len(csv) == 1 + len(exp.rows)
     exp.rates_json()
+
+
+def test_conjecture_experiment_rejects_nonpositive_trials():
+    with pytest.raises(ValueError, match="trials must be positive"):
+        run_conjecture_experiment(small_gallery(), (1, 4), (0.0,), trials=0, seed=8)

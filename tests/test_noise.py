@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from regionvote.grid import Grid
 from regionvote.noise import (
@@ -11,6 +13,7 @@ from regionvote.noise import (
     NoiseArea,
     PlacementInfeasibleError,
     SaltPepperSpec,
+    _sample_disjoint_anchors,
     apply_block_noise,
     apply_salt_pepper,
     orthomeasure,
@@ -160,6 +163,68 @@ def test_random_anchor_placement_disjoint_and_in_bounds():
 def test_random_anchor_placement_infeasible():
     with pytest.raises(PlacementInfeasibleError):
         random_anchor_placement((6, 6), 4, 3, seed=0)
+
+
+def test_placement_follows_random_sequential_adsorption_law():
+    # 4x4 anchor lattice, edge 2, two blocks: the first anchor is uniform
+    # over 16 and the second uniform over the anchors it leaves free, so
+    # P(a1, a2) = 1/16 * 1/free(a1).
+    lattice = [(x, y) for y in range(4) for x in range(4)]
+    cells = [
+        (a, b)
+        for a in lattice
+        for b in lattice
+        if abs(a[0] - b[0]) >= 2 or abs(a[1] - b[1]) >= 2
+    ]
+    free = {a: sum(1 for p, _ in cells if p == a) for a in lattice}
+    expected = np.array([1 / (16 * free[a]) for a, _ in cells])
+    assert expected.sum() == pytest.approx(1.0)
+    index = {pair: i for i, pair in enumerate(cells)}
+    rng = np.random.default_rng(2024)
+    draws = 30_000
+    observed = np.zeros(len(cells))
+    for _ in range(draws):
+        ax, ay = _sample_disjoint_anchors(rng, (5, 5), 2, 2)
+        observed[index[((int(ax[0]), int(ay[0])), (int(ax[1]), int(ay[1])))]] += 1
+    assert chisquare(observed, expected * draws).pvalue > 0.001
+
+
+def _exact_success(n, free, blocks, tries, edge):
+    """P(placing `blocks` more blocks on a row of n anchors), t tries each.
+
+    A block is placed with probability 1 - (1 - |free| / n) ** t, then
+    lands uniformly on a free anchor and blocks every anchor within edge.
+    """
+    if blocks == 0:
+        return 1.0
+    if not free:
+        return 0.0
+    placed = 1 - (1 - len(free) / n) ** tries
+    rest = sum(
+        _exact_success(n, frozenset(b for b in free if abs(b - a) >= edge), blocks - 1, tries, edge)
+        for a in free
+    )
+    return placed * rest / len(free)
+
+
+def test_retry_budget_is_per_block_and_sequential():
+    # 9x2 grid, edge 2: eight anchors on one row and four blocks, which
+    # fit in only five ways. The budget of t tries starts afresh for every
+    # block, whichever batch its tries fall in.
+    n = 4000
+    rng = np.random.default_rng(7)
+    for tries in (1, 2, 3, 5, 200):
+        ok = 0
+        for _ in range(n):
+            try:
+                _sample_disjoint_anchors(rng, (9, 2), 2, 4, max_tries_per_block=tries)
+                ok += 1
+            except PlacementInfeasibleError:
+                pass
+        p = _exact_success(8, frozenset(range(8)), 4, tries, 2)
+        assert abs(ok - n * p) < 5 * math.sqrt(n * p * (1 - p)), (tries, ok, n * p)
+    with pytest.raises(PlacementInfeasibleError, match="after 200 tries"):
+        random_anchor_placement((3, 3), 2, 2, seed=0)
 
 
 def test_noise_area_bounds():
