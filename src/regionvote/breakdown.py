@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from regionvote.bounds import round_half_up
-from regionvote.grid import Grid, GridDims, Partition, enumerate_partitions
+from regionvote.grid import Grid, GridDims, Partition, _summed_area, enumerate_partitions
 from regionvote.noise import (
     BlockNoiseSpec,
     PlacementInfeasibleError,
@@ -39,6 +39,7 @@ from regionvote.noise import (
 )
 from regionvote.shifting import best_partition
 from regionvote.voting import Winner, plurality_winner, tally_global, tally_regional
+from regionvote.voting import _region_counts, _regions_won, _strict_winners
 
 
 class InfeasibleMarginError(ValueError):
@@ -285,7 +286,7 @@ def _exhaustive_regional(
     counts, winners, regions_won = state.partition_baseline(partition)
     n_regions = len(winners)
     target_idx = np.flatnonzero(state.votes == target)
-    target_regions = _region_labels(partition, state.dims)[target_idx]
+    target_regions = partition.labels(state.dims)[target_idx]
     region_target_cells = [target_idx[target_regions == r].tolist() for r in range(n_regions)]
     caps = [len(cells) for cells in region_target_cells]
     region_counts = counts.tolist()
@@ -343,41 +344,6 @@ def _exhaustive_regional(
 # randomized concentrated search
 
 
-def _region_labels(partition: Partition, dims: GridDims) -> np.ndarray:
-    """Region index of every cell, flat in row-major cell order."""
-    partition.validate_for(dims)
-    width, height = dims
-    cols = ((np.arange(width) + partition.dx) % width) // partition.region_width
-    rows = ((np.arange(height) + partition.dy) % height) // partition.region_height
-    return (cols[None, :] + (width // partition.region_width) * rows[:, None]).ravel()
-
-
-def _strict_winners(counts: np.ndarray) -> np.ndarray:
-    """Strict plurality of each row of a (regions, candidates) array, -1 on a tie."""
-    top = counts.max(axis=1)
-    unique = (counts == top[:, None]).sum(axis=1) == 1
-    return np.where(unique, counts.argmax(axis=1), -1)
-
-
-def _regions_won(winners: np.ndarray, candidates: int) -> np.ndarray:
-    return np.bincount(winners[winners >= 0], minlength=candidates)
-
-
-def _axis_segments(
-    anchors: np.ndarray, extent: int, shift: int, axis_cells: int, region_edge: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cut block extents at region boundaries: (start, stop, region), each
-    (blocks, K) with K = ceil((extent - 1) / region_edge) + 1; pieces past
-    a block's end are empty (start == stop)."""
-    k = -(-(extent - 1) // region_edge) + 1
-    stop = (anchors + extent)[:, None]
-    room = region_edge - (anchors + shift) % region_edge
-    cuts = (anchors + room)[:, None] + region_edge * np.arange(k - 1)
-    bounds = np.minimum(np.concatenate([anchors[:, None], cuts, stop], axis=1), stop)
-    start = bounds[:, :-1]
-    return start, bounds[:, 1:], ((start + shift) % axis_cells) // region_edge
-
-
 class _FastState:
     """Summed-area table and per-partition baselines for one grid."""
 
@@ -387,10 +353,7 @@ class _FastState:
         self.dims: GridDims = (grid.width, grid.height)
         self.candidates = grid.candidate_count
         self.votes = np.asarray(grid.votes, dtype=np.int64)
-        mask = (self.votes == target).reshape(grid.height, grid.width)
-        sat = np.zeros((grid.height + 1, grid.width + 1), dtype=np.int64)
-        sat[1:, 1:] = mask.cumsum(0).cumsum(1)
-        self.sat = sat
+        self.sat = _summed_area((self.votes == target).reshape(grid.height, grid.width))
         self.base_counts = np.bincount(self.votes, minlength=self.candidates)
         self._partition_cache: dict[Partition, tuple] = {}
         self._choosers: dict[int, _ShiftChooser] = {}
@@ -404,10 +367,7 @@ class _FastState:
         cached = self._partition_cache.get(partition)
         if cached is None:
             c = self.candidates
-            n_regions = partition.region_count(self.dims)
-            labels = _region_labels(partition, self.dims)
-            counts = np.bincount(labels * c + self.votes, minlength=n_regions * c)
-            counts = counts.reshape(n_regions, c)
+            counts = _region_counts(self.votes, partition, self.dims, c)
             winners = _strict_winners(counts)
             cached = (counts, winners, _regions_won(winners, c))
             self._partition_cache[partition] = cached
@@ -423,14 +383,9 @@ class _FastState:
         region, and only the touched regions are re-tallied.
         """
         counts, winners, won = self.partition_baseline(partition)
-        width, height = self.dims
-        x0, x1, col = _axis_segments(ax, edge, partition.dx, width, partition.region_width)
-        y0, y1, row = _axis_segments(ay, edge, partition.dy, height, partition.region_height)
-        x0, x1, col = x0[:, None, :], x1[:, None, :], col[:, None, :]
-        y0, y1, row = y0[:, :, None], y1[:, :, None], row[:, :, None]
+        x0, x1, y0, y1, regions = partition.block_pieces(self.dims, ax, ay, edge)
         s = self.sat
         pieces = s[y1, x1] - s[y0, x1] - s[y1, x0] + s[y0, x0]
-        regions = col + (width // partition.region_width) * row
         flips = np.bincount(regions.ravel(), pieces.ravel(), minlength=len(winners))
         touched = np.flatnonzero(flips)
         f = flips[touched].astype(np.int64)
@@ -653,7 +608,7 @@ def salt_pepper_threshold(
     n_t = target_idx.size
     if isinstance(scheme, RegionalScheme):
         counts = state.partition_baseline(scheme.partition)[0]
-        region_idx = _region_labels(scheme.partition, state.dims)[target_idx]
+        region_idx = scheme.partition.labels(state.dims)[target_idx]
     rng = np.random.default_rng(seed)
     points = []
     for rate in rates:

@@ -32,7 +32,7 @@ from .breakdown import (
     randomized_breakdown,
 )
 from .eigenlab import PatternGallery, run_conjecture_experiment
-from .grid import Grid, Partition, grid_to_text
+from .grid import Grid, Partition, _summed_area, grid_to_text
 from .noise import BlockNoiseSpec, random_anchor_placement
 from .seeding import stream_rng, stream_seed
 from .shifting import best_partition, shift_histogram, sweep_partitions, sweep_to_csv
@@ -52,6 +52,9 @@ EXPECTED_TABLE2 = (
     (719, 1035, 1278, 1840),
     (750, 1080, 1333, 1920),
 )
+
+# The regional schemes the flag instance must survive: 5x4 and 3x3 regions.
+FLAG_PARTITIONS = (Partition(region_width=5, region_height=4), Partition.square(3))
 
 
 class ConfigError(Exception):
@@ -211,8 +214,18 @@ class FlagConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.width < 1 or self.height < 1:
+            raise ValueError("width and height must be positive")
+        for partition in FLAG_PARTITIONS:
+            partition.validate_for((self.width, self.height))
+        if self.white < 0 or self.black < 0:
+            raise ValueError("white and black must be non-negative")
         if self.white + self.black != self.width * self.height:
             raise ValueError("white + black must equal width * height")
+        if not 1 <= self.block_edge <= min(self.width, self.height):
+            raise ValueError(f"block_edge must lie in [1, {min(self.width, self.height)}]")
+        if self.blocks < 1:
+            raise ValueError("blocks must be positive")
         if not 0 <= self.rate <= 1:
             raise ValueError("rate must lie in [0, 1]")
         if self.attempts < 1:
@@ -327,22 +340,27 @@ def _flag_layout(rng: np.random.Generator, width: int, height: int, black: int) 
     n_centers = int(rng.integers(2, 4))
     cx = rng.uniform(0, width, n_centers)
     cy = rng.uniform(0, height, n_centers)
-    ys, xs = np.mgrid[0:height, 0:width]
-    d2 = ((xs[..., None] - cx) ** 2 + (ys[..., None] - cy) ** 2).min(axis=2)
+    dx2 = (np.arange(width)[:, None] - cx) ** 2
+    dy2 = (np.arange(height)[:, None, None] - cy) ** 2
+    d2 = (dx2 + dy2).min(axis=2)
     d2 = d2 + rng.uniform(0, 0.35, d2.shape) * d2.max()
     votes = np.zeros(width * height, dtype=np.int64)
     votes[np.argsort(d2.ravel(), kind="stable")[:black]] = 1
-    return Grid(width, height, 2, tuple(int(v) for v in votes))
+    return Grid(width, height, 2, tuple(votes.tolist()))
 
 
 def _winner_cellmap(grid: Grid, partition: Partition):
     """Per-cell map of whether Black won the cell's region, plus the tally."""
     tally = tally_regional(grid, partition)
-    n_cols = grid.width // partition.region_width
-    winners = np.array([1 if w == 1 else 0 for w in tally.region_winners])
-    ys, xs = np.mgrid[0 : grid.height, 0 : grid.width]
-    idx = (xs // partition.region_width) + n_cols * (ys // partition.region_height)
-    return winners[idx], tally
+    black = np.array([w == 1 for w in tally.region_winners])
+    labels = partition.labels((grid.width, grid.height))
+    return black[labels].reshape(grid.height, grid.width), tally
+
+
+def _window_sums(mask: np.ndarray, edge: int) -> np.ndarray:
+    """Sum of every edge x edge window, indexed by the window's top-left cell."""
+    t = _summed_area(mask)
+    return t[edge:, edge:] - t[:-edge, edge:] - t[edge:, :-edge] + t[:-edge, :-edge]
 
 
 def _flag_anchors(
@@ -357,15 +375,9 @@ def _flag_anchors(
     (the anchor pixels are arbitrary); repeated draws are damped so the
     union still reaches enough white cells to flip the national count.
     """
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    votes = np.array(grid.votes).reshape(grid.height, grid.width)
-    white = votes == 0
-    safe = white & black_won
-    unsafe = white & ~black_won
-    shape = (edge, edge)
-    safe_w = sliding_window_view(safe.astype(np.int64), shape).sum(axis=(2, 3))
-    unsafe_w = sliding_window_view(unsafe.astype(np.int64), shape).sum(axis=(2, 3))
+    white = np.array(grid.votes, dtype=np.int64).reshape(grid.height, grid.width) == 0
+    safe_w = _window_sums(white & black_won, edge)
+    unsafe_w = _window_sums(white & ~black_won, edge)
     weights = (safe_w + 1.0) ** 2 / (unsafe_w + 1.0)
     n_rows, n_cols = weights.shape
     anchors: list[tuple[int, int]] = []
@@ -373,8 +385,9 @@ def _flag_anchors(
         total = weights.sum()
         if total <= 0:
             break
-        idx = int(rng.choice(weights.size, p=(weights / total).ravel()))
-        ay, ax = divmod(idx, n_cols)
+        cdf = (weights / total).ravel().cumsum()
+        cdf /= cdf[-1]  # the inverse-CDF draw rng.choice(p=weights / total) makes
+        ay, ax = divmod(int(cdf.searchsorted(rng.random(), "right")), n_cols)
         anchors.append((ax, ay))
         y0, y1 = max(0, ay - edge + 1), min(n_rows, ay + edge)
         x0, x1 = max(0, ax - edge + 1), min(n_cols, ax + edge)
@@ -390,21 +403,17 @@ def _apply_flag_noise(
     mask = np.zeros((grid.height, grid.width), dtype=bool)
     for ax, ay in anchors:
         mask[ay : ay + edge, ax : ax + edge] = True
-    votes = list(grid.votes)
-    flips = 0
-    for y in range(grid.height):
-        for x in range(grid.width):
-            if mask[y, x] and votes[y * grid.width + x] == 0 and rng.random() < rate:
-                votes[y * grid.width + x] = 1
-                flips += 1
-    return Grid(grid.width, grid.height, 2, tuple(votes)), flips
+    votes = np.array(grid.votes, dtype=np.int64)
+    offered = np.flatnonzero(mask.ravel() & (votes == 0))
+    flipped = offered[rng.random(offered.size) < rate]
+    votes[flipped] = 1
+    return Grid(grid.width, grid.height, 2, tuple(votes.tolist())), int(flipped.size)
 
 
 def _flag_search(cfg: FlagConfig):
     """Look for a clustered flag where block noise flips the national
     winner while both regional schemes keep White."""
-    part_a = Partition(region_width=5, region_height=4)
-    part_b = Partition.square(3)
+    part_a, part_b = FLAG_PARTITIONS
     for attempt in range(cfg.attempts):
         rng = stream_rng(cfg.seed, f"flag.layout.{attempt}")
         grid = _flag_layout(rng, cfg.width, cfg.height, cfg.black)
@@ -415,7 +424,7 @@ def _flag_search(cfg: FlagConfig):
         if before_b.winner != 0:
             continue
         anchors = _flag_anchors(
-            rng, grid, cfg.block_edge, cfg.blocks, (map_a == 1) & (map_b == 1)
+            rng, grid, cfg.block_edge, cfg.blocks, map_a & map_b
         )
         if len(anchors) != cfg.blocks:
             continue

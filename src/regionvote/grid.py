@@ -7,14 +7,18 @@ lattice into equal rectangular regions whose edges wrap around the grid
 (the left/right and top/bottom borders are glued), so every shift offset
 produces the same number of whole regions.
 
-Everything here is immutable and side-effect free, so grids and
-partitions can be shared freely across threads or worker processes.
+Everything here is immutable and side-effect free, the cached label
+arrays included (they are read-only), so grids and partitions can be
+shared freely across threads or worker processes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 Cell = tuple[int, int]
 GridDims = tuple[int, int]
@@ -68,10 +72,7 @@ class Grid:
 
     def counts(self) -> tuple[int, ...]:
         """Per-candidate vote totals over the whole grid."""
-        acc = [0] * self.candidate_count
-        for v in self.votes:
-            acc[v] += 1
-        return tuple(acc)
+        return tuple(self.votes.count(c) for c in range(self.candidate_count))
 
     def replace_votes(self, votes: tuple[int, ...]) -> "Grid":
         return Grid(self.width, self.height, self.candidate_count, tuple(votes))
@@ -210,6 +211,52 @@ class Partition:
 
     def region_count(self, dims: GridDims) -> int:
         return self.region_cols(dims) * self.region_rows(dims)
+
+    @lru_cache(maxsize=8)
+    def labels(self, dims: GridDims) -> np.ndarray:
+        """Region index of every cell, flat in row-major cell order, as
+        region_of gives it; read-only and cached per (partition, dims)."""
+        self.validate_for(dims)
+        width, height = dims
+        cols = ((np.arange(width) + self.dx) % width) // self.region_width
+        rows = ((np.arange(height) + self.dy) % height) // self.region_height
+        labels = (cols[None, :] + (width // self.region_width) * rows[:, None]).ravel()
+        labels.flags.writeable = False
+        return labels
+
+    def block_pieces(self, dims: GridDims, ax: np.ndarray, ay: np.ndarray, edge: int):
+        """Cut in-bounds square blocks at region boundaries on both axes:
+        x0, x1 (blocks, 1, Kx), y0, y1 (blocks, Ky, 1) and the pieces' region
+        indices (blocks, Ky, Kx). Pieces past a block's end are empty."""
+        width, height = dims
+        x0, x1, col = _axis_segments(ax, edge, self.dx, width, self.region_width)
+        y0, y1, row = _axis_segments(ay, edge, self.dy, height, self.region_height)
+        regions = col[:, None, :] + (width // self.region_width) * row[:, :, None]
+        return x0[:, None, :], x1[:, None, :], y0[:, :, None], y1[:, :, None], regions
+
+
+def _axis_segments(
+    anchors: np.ndarray, extent: int, shift: int, axis_cells: int, region_edge: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut block extents at region boundaries: (start, stop, region), each
+    (blocks, K) with K = ceil((extent - 1) / region_edge) + 1; pieces past
+    a block's end are empty (start == stop)."""
+    k = -(-(extent - 1) // region_edge) + 1
+    stop = (anchors + extent)[:, None]
+    room = region_edge - (anchors + shift) % region_edge
+    cuts = (anchors + room)[:, None] + region_edge * np.arange(k - 1)
+    bounds = np.minimum(np.concatenate([anchors[:, None], cuts, stop], axis=1), stop)
+    start = bounds[:, :-1]
+    return start, bounds[:, 1:], ((start + shift) % axis_cells) // region_edge
+
+
+def _summed_area(mask: np.ndarray) -> np.ndarray:
+    """Summed-area table of a 2-D array, one zero row and column in front:
+    the sum over rows y0:y1 and columns x0:x1 is
+    t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0]."""
+    table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
+    table[1:, 1:] = mask.cumsum(0).cumsum(1)
+    return table
 
 
 def region_of(partition: Partition, dims: GridDims, cell: Cell) -> int:

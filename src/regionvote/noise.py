@@ -63,13 +63,23 @@ class BlockNoiseSpec:
         self._check_disjoint()
 
     def _check_disjoint(self) -> None:
-        edge = self.block_edge
-        for i, (ax, ay) in enumerate(self.anchors):
-            for bx, by in self.anchors[i + 1 :]:
-                if abs(ax - bx) < edge and abs(ay - by) < edge:
-                    raise BlockOverlapError(
-                        f"blocks at ({ax}, {ay}) and ({bx}, {by}) overlap"
-                    )
+        """Raise on the first overlapping pair (i, j > i) in loop order: overlap
+        is symmetric, so it is the first row's first hit off the diagonal.
+        Rows go in chunks of about a million pairs."""
+        n, edge = len(self.anchors), self.block_edge
+        if n < 2:
+            return
+        x, y = np.array(self.anchors, dtype=np.int64).reshape(n, 2).T
+        step = max(1, (1 << 20) // n)
+        for i0 in range(0, n, step):
+            i1 = min(n, i0 + step)
+            near = np.abs(x[i0:i1, None] - x) < edge
+            near &= np.abs(y[i0:i1, None] - y) < edge
+            near[np.arange(i1 - i0), np.arange(i0, i1)] = False
+            if near.any():
+                i, j = np.argwhere(near)[0].tolist()
+                (ax, ay), (bx, by) = self.anchors[i0 + i], self.anchors[j]
+                raise BlockOverlapError(f"blocks at ({ax}, {ay}) and ({bx}, {by}) overlap")
 
     def cells(self):
         """All block cells, block by block in anchor order, row-major inside."""
@@ -204,36 +214,32 @@ def apply_block_noise(
     if spec.flip_probability < 1.0 and seed is None:
         raise ValueError("a seed is required when flip_probability < 1")
     rng = np.random.default_rng(seed if seed is not None else 0)
-    votes = list(grid.votes)
-    flipped = 0
-    for x, y in spec.cells():
-        idx = y * grid.width + x
-        if votes[idx] != spec.target:
-            continue
-        if spec.flip_probability >= 1.0 or rng.random() < spec.flip_probability:
-            votes[idx] = spec.flip_to
-            flipped += 1
+    # Block cells in spec.cells() order: block by block, row-major inside.
+    ax, ay = np.array(spec.anchors, dtype=np.int64).reshape(-1, 2).T
+    sy, sx = np.divmod(np.arange(spec.block_edge**2), spec.block_edge)
+    idx = ((ay[:, None] + sy) * grid.width + ax[:, None] + sx).ravel()
+    votes = np.array(grid.votes)
+    idx = idx[votes[idx] == spec.target]
+    if spec.flip_probability < 1.0:
+        idx = idx[rng.random(idx.size) < spec.flip_probability]
+    votes[idx] = spec.flip_to
     report = NoiseReport(
-        flipped_cells=flipped,
+        flipped_cells=idx.size,
         concentrated_area=spec.concentrated_area(),
         residual=0,
     )
-    return grid.replace_votes(tuple(votes)), report
+    return grid.replace_votes(tuple(votes.tolist())), report
 
 
 def apply_salt_pepper(grid: Grid, spec: SaltPepperSpec) -> tuple[Grid, NoiseReport]:
     """Flip each target cell independently with probability spec.rate."""
     rng = np.random.default_rng(spec.seed)
-    votes = list(grid.votes)
-    flipped = 0
-    for idx, v in enumerate(votes):
-        if v != spec.target:
-            continue
-        if rng.random() < spec.rate:
-            votes[idx] = spec.flip_to
-            flipped += 1
-    report = NoiseReport(flipped_cells=flipped, concentrated_area=0, residual=flipped)
-    return grid.replace_votes(tuple(votes)), report
+    votes = np.array(grid.votes)
+    idx = np.flatnonzero(votes == spec.target)
+    idx = idx[rng.random(idx.size) < spec.rate]
+    votes[idx] = spec.flip_to
+    report = NoiseReport(flipped_cells=idx.size, concentrated_area=0, residual=idx.size)
+    return grid.replace_votes(tuple(votes.tolist())), report
 
 
 def random_anchor_placement(

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from regionvote.grid import GridDims, Partition, enumerate_partitions
 from regionvote.noise import BlockNoiseSpec
 
@@ -40,41 +42,15 @@ class ContaminationReport:
     slack: int
 
 
-def _axis_region_indices(
-    anchor: int, extent: int, shift: int, axis_cells: int, region_edge: int
-) -> list[int]:
-    """Region columns (or rows) a block interval touches under a shift."""
-    n_regions = axis_cells // region_edge
-    start = (anchor + shift) % axis_cells
-    offset = start % region_edge
-    touched = -(-(offset + extent) // region_edge)
-    if touched >= n_regions:
-        return list(range(n_regions))
-    first = start // region_edge
-    return [(first + i) % n_regions for i in range(touched)]
-
-
 def contaminated_region_ids(
     dims: GridDims, partition: Partition, spec: BlockNoiseSpec
 ) -> frozenset[int]:
     """Indices of regions intersecting at least one noise block."""
     partition.validate_for(dims)
     spec.validate_bounds(dims)
-    width, height = dims
-    n_cols = width // partition.region_width
-    touched: set[int] = set()
-    for ax, ay in spec.anchors:
-        cols = _axis_region_indices(
-            ax, spec.block_edge, partition.dx, width, partition.region_width
-        )
-        rows = _axis_region_indices(
-            ay, spec.block_edge, partition.dy, height, partition.region_height
-        )
-        for r in rows:
-            base = n_cols * r
-            for c in cols:
-                touched.add(base + c)
-    return frozenset(touched)
+    ax, ay = np.array(spec.anchors, dtype=np.int64).reshape(-1, 2).T
+    x0, x1, y0, y1, regions = partition.block_pieces(dims, ax, ay, spec.block_edge)
+    return frozenset(regions[(x1 > x0) & (y1 > y0)].tolist())
 
 
 def contamination_report(

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from regionvote.grid import Grid, Partition, region_of
+import numpy as np
+
+from regionvote.grid import Grid, GridDims, Partition
 
 Winner = int | None
 
@@ -22,6 +24,24 @@ def plurality_winner(counts: tuple[int, ...] | list[int]) -> Winner:
     best = max(counts)
     leaders = [i for i, c in enumerate(counts) if c == best]
     return leaders[0] if len(leaders) == 1 else None
+
+
+def _strict_winners(counts: np.ndarray) -> np.ndarray:
+    """Strict plurality of each row of a (regions, candidates) array, -1 on a tie."""
+    top = np.sort(counts, axis=1)
+    unique = top[:, -1] > top[:, -2] if counts.shape[1] > 1 else True
+    return np.where(unique, counts.argmax(axis=1), -1)
+
+
+def _regions_won(winners: np.ndarray, candidates: int) -> np.ndarray:
+    return np.bincount(winners + 1, minlength=candidates + 1)[1:]
+
+
+def _region_counts(votes: np.ndarray, partition: Partition, dims: GridDims, c: int):
+    """(regions, candidates) vote counts of a flat row-major vote array."""
+    n_regions = partition.region_count(dims)
+    counts = np.bincount(partition.labels(dims) * c + votes, minlength=n_regions * c)
+    return counts.reshape(n_regions, c)
 
 
 @dataclass(frozen=True)
@@ -90,29 +110,15 @@ def tally_global(grid: Grid) -> GlobalTally:
 
 def tally_regional(grid: Grid, partition: Partition) -> RegionalTally:
     """Per-region strict plurality, then strict plurality of won regions."""
-    dims = (grid.width, grid.height)
-    partition.validate_for(dims)
-    n_regions = partition.region_count(dims)
-    per_region = [[0] * grid.candidate_count for _ in range(n_regions)]
-    width = grid.width
-    for y in range(grid.height):
-        base = y * width
-        for x in range(width):
-            region = region_of(partition, dims, (x, y))
-            per_region[region][grid.votes[base + x]] += 1
-    region_winners = tuple(plurality_winner(c) for c in per_region)
-    regions_won = [0] * grid.candidate_count
-    ties = 0
-    for w in region_winners:
-        if w is None:
-            ties += 1
-        else:
-            regions_won[w] += 1
+    c, votes = grid.candidate_count, np.array(grid.votes, dtype=np.int64)
+    counts = _region_counts(votes, partition, (grid.width, grid.height), c)
+    winners = _strict_winners(counts)
+    regions_won = _regions_won(winners, c).tolist()
     return RegionalTally(
         partition=partition,
-        region_winners=region_winners,
+        region_winners=tuple(None if w < 0 else w for w in winners.tolist()),
         regions_won=tuple(regions_won),
-        tie_regions=ties,
+        tie_regions=len(winners) - sum(regions_won),
         winner=plurality_winner(regions_won),
     )
 

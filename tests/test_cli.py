@@ -102,6 +102,31 @@ def test_validation_error_is_exit_2(tmp_path, capsys):
     assert "rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("block_edge=30", "block_edge"),
+        ("block_edge=0", "block_edge"),
+        ("block_edge=-2", "block_edge"),
+        ("blocks=0", "blocks"),
+        ("blocks=-1", "blocks"),
+        ("width=0\nheight=0\nwhite=0\nblack=0", "width and height"),
+        ("width=-15\nwhite=-567\nblack=207", "width and height"),
+        ("white=-1\nblack=361", "white and black"),
+        ("width=10\nheight=12\nwhite=60\nblack=60", "does not divide"),
+        ("width=30\nheight=24\nwhite=400\nblack=320\nblock_edge=25", "block_edge"),
+    ],
+)
+def test_flag_bad_geometry_exits_2(tmp_path, capsys, lines, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(lines + "\n")
+    assert run_cli("flag", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_single_block_histogram(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("anchors=13x22\nblock_edge=5\nregion_edge=8\n")

@@ -158,3 +158,28 @@ def test_rectangular_partition_region_count():
     assert p.region_count((15, 24)) == 18
     assert p.region_cols((15, 24)) == 3
     assert p.region_rows((15, 24)) == 6
+
+
+@given(
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_labels_agree_with_region_of(rw, rh, cols, rows, data):
+    p = Partition(rw, rh, data.draw(st.integers(0, rw - 1)), data.draw(st.integers(0, rh - 1)))
+    dims = (rw * cols, rh * rows)
+    labels = p.labels(dims)
+    assert labels.tolist() == [
+        region_of(p, dims, (x, y)) for y in range(dims[1]) for x in range(dims[0])
+    ]
+
+
+def test_labels_are_cached_read_only_and_validated():
+    p = Partition(5, 4, dx=2, dy=1)
+    labels = p.labels((15, 24))
+    assert p.labels((15, 24)) is labels
+    assert Partition(5, 4, dx=2, dy=1).labels((15, 24)) is labels
+    with pytest.raises(ValueError):
+        labels[0] = 3
+    with pytest.raises(DimensionMismatchError):
+        p.labels((16, 24))

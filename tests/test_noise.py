@@ -33,6 +33,62 @@ def test_block_spec_rejects_overlap():
     BlockNoiseSpec(block_edge=3, anchors=((0, 0), (3, 3)), target=0, flip_to=1)
 
 
+def first_overlap(anchors, edge):
+    """The pair loop the spec constructor once ran: first (i, j > i) hit."""
+    for i, (ax, ay) in enumerate(anchors):
+        for bx, by in anchors[i + 1 :]:
+            if abs(ax - bx) < edge and abs(ay - by) < edge:
+                return f"blocks at ({ax}, {ay}) and ({bx}, {by}) overlap"
+    return None
+
+
+def overlap_message(anchors, edge):
+    try:
+        BlockNoiseSpec(block_edge=edge, anchors=anchors, target=0, flip_to=1)
+    except BlockOverlapError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "anchors, edge, expected",
+    [
+        # (10, 10)-(12, 11) also overlap, but (0, 0)'s row comes first
+        (((0, 0), (10, 10), (12, 11), (1, 1)), 3, "blocks at (0, 0) and (1, 1) overlap"),
+        # row 1 holds the first pair although (3, 3) meets (0, 0)'s block too
+        (((9, 9), (0, 0), (20, 0), (1, 2), (2, 1)), 3, "blocks at (0, 0) and (1, 2) overlap"),
+        (((5, 5), (8, 5), (7, 7)), 3, "blocks at (5, 5) and (7, 7) overlap"),
+        (((4, 4), (4, 4)), 1, "blocks at (4, 4) and (4, 4) overlap"),
+        (((0, 0), (3, 0), (0, 3), (3, 3)), 3, None),
+    ],
+)
+def test_block_overlap_reports_the_first_pair_in_loop_order(anchors, edge, expected):
+    assert overlap_message(anchors, edge) == expected == first_overlap(anchors, edge)
+
+
+def test_block_overlap_first_pair_across_row_chunks():
+    # 1500 blocks are compared in chunks of 699 rows. Block 1100 meets
+    # block 50 (rows in chunks 0 and 1) and block 1450 meets block 1000
+    # (rows in chunks 1 and 2); the lower first row wins each time.
+    anchors = [(3 * k, 0) for k in range(1500)]
+    anchors[1450] = (3001, 1)
+    anchors[1100] = (150, 1)
+    assert overlap_message(anchors, 2) == first_overlap(anchors, 2)
+    assert overlap_message(anchors, 2) == "blocks at (150, 0) and (150, 1) overlap"
+    anchors[1100] = (3 * 1100, 0)
+    assert overlap_message(anchors, 2) == first_overlap(anchors, 2)
+    assert overlap_message(anchors, 2) == "blocks at (3000, 0) and (3001, 1) overlap"
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=12),
+    st.integers(1, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_block_overlap_matches_the_pair_loop(anchors, edge):
+    assert overlap_message(anchors, edge) == first_overlap(anchors, edge)
+
+
 def test_block_spec_rejects_bad_fields():
     with pytest.raises(ValueError):
         BlockNoiseSpec(block_edge=0, anchors=(), target=0, flip_to=1)
@@ -131,6 +187,53 @@ def test_block_noise_conserves_total_votes(seed):
     a1, b1 = noisy.counts()
     assert a1 == a0 - rep.flipped_cells
     assert b1 == b0 + rep.flipped_cells
+
+
+def reference_block_noise(grid, spec, seed):
+    """The per-cell loop: one draw per target cell, in spec.cells() order."""
+    rng = np.random.default_rng(seed)
+    votes = list(grid.votes)
+    for x, y in spec.cells():
+        idx = y * grid.width + x
+        if votes[idx] == spec.target and (
+            spec.flip_probability >= 1.0 or rng.random() < spec.flip_probability
+        ):
+            votes[idx] = spec.flip_to
+    return grid.replace_votes(tuple(votes))
+
+
+def reference_salt_pepper(grid, spec):
+    rng = np.random.default_rng(spec.seed)
+    votes = list(grid.votes)
+    for idx, v in enumerate(votes):
+        if v == spec.target and rng.random() < spec.rate:
+            votes[idx] = spec.flip_to
+    return grid.replace_votes(tuple(votes))
+
+
+def test_noise_matches_per_cell_reference():
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        width, height = (int(v) for v in rng.integers(3, 13, 2))
+        candidates = int(rng.integers(2, 4))
+        rate = float(rng.choice([0.0, 0.3, 0.5, 1.0]))
+        votes = rng.integers(0, candidates, width * height).tolist()
+        grid = Grid(width, height, candidates, tuple(votes))
+        edge = int(rng.integers(1, 4))
+        try:
+            spec = random_anchor_placement(
+                (width, height), edge, int(rng.integers(0, 5)), seed=seed, target=1,
+                flip_to=0, flip_probability=rate,
+            )
+        except PlacementInfeasibleError:
+            spec = BlockNoiseSpec(edge, (), 1, 0, rate)
+        noisy, report = apply_block_noise(grid, spec, seed=seed)
+        assert noisy == reference_block_noise(grid, spec, seed), seed
+        assert report.flipped_cells == sum(a != b for a, b in zip(grid.votes, noisy.votes))
+        sp = SaltPepperSpec(rate=rate, target=1, flip_to=0, seed=seed)
+        noisy, report = apply_salt_pepper(grid, sp)
+        assert noisy == reference_salt_pepper(grid, sp), seed
+        assert report.flipped_cells == sum(a != b for a, b in zip(grid.votes, noisy.votes))
 
 
 def test_salt_pepper_extremes():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regionvote.grid import Grid, Partition
+from regionvote.grid import Grid, Partition, region_of
 from regionvote.voting import (
+    RegionalTally,
     plurality_winner,
     tally_global,
     tally_multicandidate,
@@ -122,3 +123,56 @@ def test_tally_rejects_mismatched_partition():
     g = Grid(4, 4, 2, (0,) * 16)
     with pytest.raises(Exception):
         tally_regional(g, Partition.square(3))
+
+
+def reference_tally_regional(grid, partition):
+    """The per-cell tally: route every cell through region_of, then count."""
+    dims = (grid.width, grid.height)
+    partition.validate_for(dims)
+    per_region = [[0] * grid.candidate_count for _ in range(partition.region_count(dims))]
+    for y in range(grid.height):
+        for x in range(grid.width):
+            per_region[region_of(partition, dims, (x, y))][grid.votes[y * grid.width + x]] += 1
+    region_winners = tuple(plurality_winner(c) for c in per_region)
+    regions_won = [0] * grid.candidate_count
+    for w in region_winners:
+        if w is not None:
+            regions_won[w] += 1
+    return RegionalTally(
+        partition=partition,
+        region_winners=region_winners,
+        regions_won=tuple(regions_won),
+        tie_regions=region_winners.count(None),
+        winner=plurality_winner(regions_won),
+    )
+
+
+@st.composite
+def grids_and_partitions(draw):
+    rw, rh = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cols, rows = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    candidates = draw(st.integers(1, 3))
+    width, height = rw * cols, rh * rows
+    votes = draw(st.lists(st.integers(0, candidates - 1), min_size=width * height,
+                          max_size=width * height))
+    partition = Partition(rw, rh, draw(st.integers(0, rw - 1)), draw(st.integers(0, rh - 1)))
+    return Grid(width, height, candidates, tuple(votes)), partition
+
+
+@given(grids_and_partitions())
+@settings(max_examples=300, deadline=None)
+def test_tally_regional_matches_per_cell_reference(case):
+    grid, partition = case
+    assert tally_regional(grid, partition) == reference_tally_regional(grid, partition)
+
+
+def test_tally_regional_counts_ties_at_both_levels():
+    # 2x1 regions: (0,1) ties, (0,0) to 0, (1,1) to 1, (2,2) to 2, (1,2) ties
+    grid = Grid(10, 1, 3, (0, 1, 0, 0, 1, 1, 2, 2, 1, 2))
+    tally = tally_regional(grid, Partition(2, 1))
+    assert tally == reference_tally_regional(grid, Partition(2, 1))
+    assert tally.region_winners == (None, 0, 1, 2, None)
+    assert tally.regions_won == (1, 1, 1) and tally.tie_regions == 2
+    assert tally.winner is None
+    shifted = tally_regional(grid, Partition(2, 1, dx=1))
+    assert shifted == reference_tally_regional(grid, Partition(2, 1, dx=1))
