@@ -94,7 +94,7 @@ def generate_grid(spec: GridGenSpec) -> Grid:
         votes = _clustered_votes(spec.width, spec.height, n_cells - n_a, rng)
     else:
         votes = _margin_votes(spec.width, spec.height, n_a, spec.region_edge, rng)
-    return Grid(spec.width, spec.height, 2, tuple(int(v) for v in votes))
+    return Grid(spec.width, spec.height, 2, votes)
 
 
 def _clustered_votes(width: int, height: int, n_b: int, rng: np.random.Generator) -> np.ndarray:
@@ -262,14 +262,11 @@ def exhaustive_breakdown(
 
 
 def _exhaustive_global(grid: Grid, budget: int, target: int, flip_to: int) -> BreakdownResult:
-    counts = list(grid.counts())
-    target_cells = [i for i, v in enumerate(grid.votes) if v == target]
+    state = _FastState(grid, target, flip_to)
+    target_cells = np.flatnonzero(grid.votes == target).tolist()
     budget = min(budget, len(target_cells))
     for k in range(1, budget + 1):
-        adjusted = list(counts)
-        adjusted[target] -= k
-        adjusted[flip_to] += k
-        winner = plurality_winner(adjusted)
+        winner = state.global_outcome(k)
         if winner is not None and winner != target:
             cells = tuple(
                 (i % grid.width, i // grid.width) for i in target_cells[:k]
@@ -352,7 +349,7 @@ class _FastState:
         self.flip_to = flip_to
         self.dims: GridDims = (grid.width, grid.height)
         self.candidates = grid.candidate_count
-        self.votes = np.asarray(grid.votes, dtype=np.int64)
+        self.votes = grid.votes
         self.sat = _summed_area((self.votes == target).reshape(grid.height, grid.width))
         self.base_counts = np.bincount(self.votes, minlength=self.candidates)
         self._partition_cache: dict[Partition, tuple] = {}
@@ -460,6 +457,14 @@ class _ShiftChooser:
         return out
 
 
+def _check_block_edge(grid: Grid, block_edge: int) -> None:
+    if not 1 <= block_edge <= min(grid.width, grid.height):
+        raise ValueError(
+            f"block_edge must lie in [1, {min(grid.width, grid.height)}] "
+            f"for a {grid.width}x{grid.height} grid"
+        )
+
+
 def randomized_breakdown(
     grid: Grid,
     scheme: Scheme,
@@ -486,11 +491,7 @@ def randomized_breakdown(
         raise ValueError("block_counts must satisfy 1 <= lo <= hi")
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    if not 1 <= block_edge <= min(grid.width, grid.height):
-        raise ValueError(
-            f"block_edge must lie in [1, {min(grid.width, grid.height)}] "
-            f"for a {grid.width}x{grid.height} grid"
-        )
+    _check_block_edge(grid, block_edge)
     base_winner = scheme_winner(grid, scheme, BlockNoiseSpec(block_edge, (), target, flip_to))
     if base_winner != target:
         raise ValueError(f"grid winner is {base_winner}, expected target {target}")
@@ -537,8 +538,9 @@ def greedy_block_breakdown(
     """Tile aligned blocks in raster order until the winner flips.
 
     Deterministic; useful as a reference achieving the national breakdown
-    within one block of flips.
+    within one block of flips. A block edge the grid cannot hold is refused.
     """
+    _check_block_edge(grid, block_edge)
     state = _FastState(grid, target, flip_to)
     width, height = state.dims
     xs: list[int] = []

@@ -33,7 +33,7 @@ from .breakdown import (
 )
 from .eigenlab import PatternGallery, run_conjecture_experiment
 from .grid import Grid, Partition, _summed_area, grid_to_text
-from .noise import BlockNoiseSpec, random_anchor_placement
+from .noise import BlockNoiseSpec, PlacementInfeasibleError, random_anchor_placement
 from .seeding import stream_rng, stream_seed
 from .shifting import best_partition, shift_histogram, sweep_partitions, sweep_to_csv
 from .voting import tally_global, tally_regional
@@ -127,12 +127,9 @@ def _coerce_like(default, value):
             items = [tok for tok in value.split(",") if tok.strip()]
         if not isinstance(items, (list, tuple)):
             raise ValueError(f"expected a list, got {value!r}")
-        pairs = (default and isinstance(default[0], tuple)) or any(
-            isinstance(tok, str) and "x" in tok for tok in items
-        ) or any(isinstance(tok, (list, tuple)) for tok in items)
-        if pairs:
+        if not default or isinstance(default[0], tuple):  # an empty default holds pairs
             return tuple(_pair(tok) for tok in items)
-        if default and isinstance(default[0], float):
+        if isinstance(default[0], float):
             return tuple(float(tok) for tok in items)
         return tuple(int(tok) for tok in items)
     raise ValueError(f"unsupported config field type {type(default).__name__}")
@@ -154,6 +151,8 @@ def _build_config(cls, raw: dict, lines: dict[str, int], source):
             raise ConfigError(f"{where}bad value for {key!r}: {exc}") from exc
     cfg = dataclasses.replace(defaults, **updates)
     try:
+        if not 0 <= cfg.seed < 2**64:
+            raise ValueError("seed must fit in an unsigned 64-bit integer")
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -184,6 +183,16 @@ def _write_echo(out_dir: pathlib.Path, echo: dict) -> None:
 # subcommand configs
 
 
+def _check_geometry(width: int, height: int, block_edge: int, partitions) -> None:
+    """Positive dimensions that every partition divides, and a block edge that fits."""
+    if width < 1 or height < 1:
+        raise ValueError("width and height must be positive")
+    for partition in partitions:
+        partition.validate_for((width, height))
+    if not 1 <= block_edge <= min(width, height):
+        raise ValueError(f"block_edge must lie in [1, {min(width, height)}]")
+
+
 @dataclass(frozen=True)
 class BoundsConfig:
     n_cells: int = 10_000
@@ -196,6 +205,10 @@ class BoundsConfig:
     def validate(self) -> None:
         if self.n_cells < 0:
             raise ValueError("n_cells must be non-negative")
+        if not all((self.margin_pcts, self.edge_ratios, self.shift_margin_pcts, self.edge_pairs)):
+            raise ValueError("bounds config lists must be non-empty")
+        if min(self.edge_ratios + sum(self.edge_pairs, ())) < 1:
+            raise ValueError("edge ratios and edge pairs must be positive")
         for pct in self.margin_pcts + self.shift_margin_pcts:
             if not 0 < pct < 100:
                 raise ValueError(f"margin percent {pct} out of range (0, 100)")
@@ -214,16 +227,11 @@ class FlagConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("width and height must be positive")
-        for partition in FLAG_PARTITIONS:
-            partition.validate_for((self.width, self.height))
+        _check_geometry(self.width, self.height, self.block_edge, FLAG_PARTITIONS)
         if self.white < 0 or self.black < 0:
             raise ValueError("white and black must be non-negative")
         if self.white + self.black != self.width * self.height:
             raise ValueError("white + black must equal width * height")
-        if not 1 <= self.block_edge <= min(self.width, self.height):
-            raise ValueError(f"block_edge must lie in [1, {min(self.width, self.height)}]")
         if self.blocks < 1:
             raise ValueError("blocks must be positive")
         if not 0 <= self.rate <= 1:
@@ -243,10 +251,13 @@ class SweepConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.width % self.region_edge or self.height % self.region_edge:
-            raise ValueError("region_edge must divide both grid dimensions")
+        partition = Partition.square(self.region_edge)
+        _check_geometry(self.width, self.height, self.block_edge, (partition,))
         if self.blocks < 1 and not self.anchors:
             raise ValueError("need a positive block count or explicit anchors")
+        # Refused before placement, whose candidate batches grow with blocks.
+        if self.blocks * self.block_edge**2 > self.width * self.height and not self.anchors:
+            raise ValueError(f"{self.blocks} disjoint blocks cannot fit in the grid")
 
 
 @dataclass(frozen=True)
@@ -266,6 +277,8 @@ class BreakdownConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.region_edge < 1:
+            raise ValueError("region_edge must be positive")
         if self.scheme not in ("global", "regional", "best_shift"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.search not in ("exhaustive", "randomized", "greedy"):
@@ -289,6 +302,12 @@ class EigenConfig:
     def validate(self) -> None:
         if self.patterns < 2:
             raise ValueError("need at least 2 patterns")
+        if min(self.width, self.height) < 1 or self.width * self.height < 2:
+            raise ValueError("width and height must be positive, with at least 2 pixels")
+        if self.gallery_seed < 0:
+            raise ValueError("gallery_seed must be non-negative")
+        if not (self.region_counts and self.noise_levels):
+            raise ValueError("region_counts and noise_levels must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         for level in self.noise_levels:
@@ -322,9 +341,7 @@ def cmd_bounds(cfg: BoundsConfig, out_dir: pathlib.Path, fmt: str) -> int:
     if cfg != BoundsConfig(seed=cfg.seed):
         print("non-default bounds config: tables written, no expected values to compare")
         return 0
-    got1 = tuple(tuple(row) for row in table1.cells)
-    got2 = tuple(tuple(row) for row in table2.cells)
-    if got1 == EXPECTED_TABLE1 and got2 == EXPECTED_TABLE2:
+    if table1.cells == EXPECTED_TABLE1 and table2.cells == EXPECTED_TABLE2:
         print("bounds tables match the expected values")
         return 0
     print("bounds tables DIFFER from the expected values", file=sys.stderr)
@@ -346,7 +363,7 @@ def _flag_layout(rng: np.random.Generator, width: int, height: int, black: int) 
     d2 = d2 + rng.uniform(0, 0.35, d2.shape) * d2.max()
     votes = np.zeros(width * height, dtype=np.int64)
     votes[np.argsort(d2.ravel(), kind="stable")[:black]] = 1
-    return Grid(width, height, 2, tuple(votes.tolist()))
+    return Grid(width, height, 2, votes)
 
 
 def _winner_cellmap(grid: Grid, partition: Partition):
@@ -375,7 +392,7 @@ def _flag_anchors(
     (the anchor pixels are arbitrary); repeated draws are damped so the
     union still reaches enough white cells to flip the national count.
     """
-    white = np.array(grid.votes, dtype=np.int64).reshape(grid.height, grid.width) == 0
+    white = grid.votes.reshape(grid.height, grid.width) == 0
     safe_w = _window_sums(white & black_won, edge)
     unsafe_w = _window_sums(white & ~black_won, edge)
     weights = (safe_w + 1.0) ** 2 / (unsafe_w + 1.0)
@@ -403,11 +420,11 @@ def _apply_flag_noise(
     mask = np.zeros((grid.height, grid.width), dtype=bool)
     for ax, ay in anchors:
         mask[ay : ay + edge, ax : ax + edge] = True
-    votes = np.array(grid.votes, dtype=np.int64)
+    votes = grid.votes.copy()
     offered = np.flatnonzero(mask.ravel() & (votes == 0))
     flipped = offered[rng.random(offered.size) < rate]
     votes[flipped] = 1
-    return Grid(grid.width, grid.height, 2, tuple(votes.tolist())), int(flipped.size)
+    return grid.replace_votes(votes), int(flipped.size)
 
 
 def _flag_search(cfg: FlagConfig):
@@ -527,8 +544,8 @@ def _flag_payload(cfg: FlagConfig, echo: dict, found: dict) -> dict:
             "before": b_before.to_json_dict(),
             "after": b_after.to_json_dict(),
         },
-        "grid_before": list(found["grid"].votes),
-        "grid_after": list(found["noisy"].votes),
+        "grid_before": found["grid"].votes.tolist(),
+        "grid_after": found["noisy"].votes.tolist(),
     }
 
 
@@ -566,17 +583,17 @@ def cmd_flag(cfg: FlagConfig, out_dir: pathlib.Path, fmt: str) -> int:
 def cmd_sweep(cfg: SweepConfig, out_dir: pathlib.Path, fmt: str) -> int:
     echo = _echo_dict("sweep", cfg, fmt)
     dims = (cfg.width, cfg.height)
-    if cfg.anchors:
-        spec = BlockNoiseSpec(
-            block_edge=cfg.block_edge, anchors=cfg.anchors, target=0, flip_to=1
-        )
-    else:
-        spec = random_anchor_placement(
-            dims, cfg.block_edge, cfg.blocks, seed=stream_seed(cfg.seed, "sweep.place")
-        )
     try:
+        if cfg.anchors:
+            spec = BlockNoiseSpec(
+                block_edge=cfg.block_edge, anchors=cfg.anchors, target=0, flip_to=1
+            )
+        else:
+            spec = random_anchor_placement(
+                dims, cfg.block_edge, cfg.blocks, seed=stream_seed(cfg.seed, "sweep.place")
+            )
         spec.validate_bounds(dims)
-    except ValueError as exc:
+    except (ValueError, PlacementInfeasibleError) as exc:
         raise ConfigError(str(exc)) from exc
     reports = sweep_partitions(dims, cfg.region_edge, spec)
     hist = shift_histogram(reports)
@@ -638,15 +655,15 @@ def cmd_sweep(cfg: SweepConfig, out_dir: pathlib.Path, fmt: str) -> int:
 
 def cmd_breakdown(cfg: BreakdownConfig, out_dir: pathlib.Path, fmt: str) -> int:
     echo = _echo_dict("breakdown", cfg, fmt)
-    gen = GridGenSpec(
-        width=cfg.width,
-        height=cfg.height,
-        a_frac=cfg.a_frac,
-        mode=cfg.grid_mode,
-        seed=stream_seed(cfg.seed, "breakdown.grid"),
-        region_edge=cfg.region_edge if cfg.grid_mode == "per_region_margin" else None,
-    )
     try:
+        gen = GridGenSpec(
+            width=cfg.width,
+            height=cfg.height,
+            a_frac=cfg.a_frac,
+            mode=cfg.grid_mode,
+            seed=stream_seed(cfg.seed, "breakdown.grid"),
+            region_edge=cfg.region_edge if cfg.grid_mode == "per_region_margin" else None,
+        )
         grid = generate_grid(gen)
         if cfg.scheme == "global":
             scheme = GlobalScheme()
@@ -776,13 +793,6 @@ _COMMANDS = {
 }
 
 
-def _seed_value(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regionvote",
@@ -792,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON object or key=value config file")
-        p.add_argument("--seed", type=_seed_value, help="master seed override")
+        p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--format", choices=("csv", "json", "txt"), default="txt")
     return parser
@@ -806,9 +816,9 @@ def main(argv=None) -> int:
             raw, lines = {}, {}
         else:
             raw, lines = _parse_config_file(pathlib.Path(args.config))
-        cfg = _build_config(cls, raw, lines, args.config)
         if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            raw["seed"] = args.seed
+        cfg = _build_config(cls, raw, lines, args.config)
         return handler(cfg, pathlib.Path(args.out), args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,9 +7,9 @@ lattice into equal rectangular regions whose edges wrap around the grid
 (the left/right and top/bottom borders are glued), so every shift offset
 produces the same number of whole regions.
 
-Everything here is immutable and side-effect free, the cached label
-arrays included (they are read-only), so grids and partitions can be
-shared freely across threads or worker processes.
+Everything here is immutable and side-effect free, the vote arrays and
+the cached label arrays included (they are read-only), so grids and
+partitions can be shared freely across threads or worker processes.
 """
 
 from __future__ import annotations
@@ -28,12 +28,15 @@ class DimensionMismatchError(ValueError):
     """Region edges must divide the grid dimensions exactly."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Immutable rectangular grid of votes.
 
-    votes is row-major: the cell (x, y) holds votes[y * width + x].
-    Candidate ids run from 0 to candidate_count - 1.
+    votes is a flat, read-only int64 array in row-major order: the cell
+    (x, y) holds votes[y * width + x]. The constructor copies whatever
+    integer sequence it is given, so later changes to the caller's
+    sequence never reach the grid. Candidate ids run from 0 to
+    candidate_count - 1.
 
     >>> g = Grid(3, 2, 2, (0, 0, 1, 1, 0, 1))
     >>> g.vote_at(2, 0), g.vote_at(0, 1)
@@ -45,21 +48,29 @@ class Grid:
     width: int
     height: int
     candidate_count: int
-    votes: tuple[int, ...]
+    votes: np.ndarray
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"grid dimensions must be positive, got {self.width}x{self.height}")
         if self.candidate_count < 1:
             raise ValueError("candidate_count must be at least 1")
-        if not isinstance(self.votes, tuple):
-            object.__setattr__(self, "votes", tuple(self.votes))
-        if len(self.votes) != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} votes, got {len(self.votes)}"
-            )
-        if self.votes and not (0 <= min(self.votes) and max(self.votes) < self.candidate_count):
+        votes = np.array(self.votes, dtype=np.int64)
+        if votes.ndim != 1:
+            raise ValueError(f"votes must be a flat sequence, got shape {votes.shape}")
+        if votes.size != self.n_cells:
+            raise ValueError(f"expected {self.n_cells} votes, got {votes.size}")
+        if votes.min() < 0 or votes.max() >= self.candidate_count:
             raise ValueError("vote out of candidate range")
+        votes.flags.writeable = False
+        object.__setattr__(self, "votes", votes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Grid):
+            return NotImplemented
+        return (self.width, self.height, self.candidate_count) == (
+            other.width, other.height, other.candidate_count
+        ) and np.array_equal(self.votes, other.votes)
 
     @property
     def n_cells(self) -> int:
@@ -68,34 +79,20 @@ class Grid:
     def vote_at(self, x: int, y: int) -> int:
         if not (0 <= x < self.width and 0 <= y < self.height):
             raise ValueError(f"cell ({x}, {y}) outside {self.width}x{self.height} grid")
-        return self.votes[y * self.width + x]
+        return int(self.votes[y * self.width + x])
 
     def counts(self) -> tuple[int, ...]:
         """Per-candidate vote totals over the whole grid."""
-        return tuple(self.votes.count(c) for c in range(self.candidate_count))
+        return tuple(np.bincount(self.votes, minlength=self.candidate_count).tolist())
 
-    def replace_votes(self, votes: tuple[int, ...]) -> "Grid":
-        return Grid(self.width, self.height, self.candidate_count, tuple(votes))
-
-    def rows(self) -> list[list[int]]:
-        w = self.width
-        return [list(self.votes[y * w : (y + 1) * w]) for y in range(self.height)]
-
-    @classmethod
-    def from_rows(cls, rows: list[list[int]], candidate_count: int) -> "Grid":
-        if not rows or not rows[0]:
-            raise ValueError("rows must be non-empty")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        flat = tuple(v for row in rows for v in row)
-        return cls(width, len(rows), candidate_count, flat)
+    def replace_votes(self, votes) -> "Grid":
+        return Grid(self.width, self.height, self.candidate_count, votes)
 
 
 def grid_to_text(grid: Grid) -> str:
     """Plain text form: header "l m candidate_count", then m rows of l ids."""
     lines = [f"{grid.width} {grid.height} {grid.candidate_count}"]
-    for row in grid.rows():
+    for row in grid.votes.reshape(grid.height, grid.width).tolist():
         lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -113,13 +110,13 @@ def grid_from_text(text: str) -> Grid:
         raise ValueError(f"non-integer header {lines[0]!r}") from exc
     if len(lines) - 1 != height:
         raise ValueError(f"expected {height} vote rows, got {len(lines) - 1}")
-    rows = []
+    votes = []
     for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != width:
             raise ValueError(f"expected {width} votes per row, got {len(toks)}")
-        rows.append([int(t) for t in toks])
-    return Grid.from_rows(rows, candidates)
+        votes += [int(t) for t in toks]
+    return Grid(width, height, candidates, votes)
 
 
 def grid_to_json_dict(grid: Grid) -> dict:
@@ -127,18 +124,14 @@ def grid_to_json_dict(grid: Grid) -> dict:
         "l": grid.width,
         "m": grid.height,
         "candidates": grid.candidate_count,
-        "votes": list(grid.votes),
+        "votes": grid.votes.tolist(),
     }
 
 
 def grid_from_json_dict(payload: dict) -> Grid:
     try:
-        return Grid(
-            int(payload["l"]),
-            int(payload["m"]),
-            int(payload["candidates"]),
-            tuple(int(v) for v in payload["votes"]),
-        )
+        width, height = int(payload["l"]), int(payload["m"])
+        return Grid(width, height, int(payload["candidates"]), payload["votes"])
     except KeyError as exc:
         raise ValueError(f"grid JSON missing key {exc}") from exc
 

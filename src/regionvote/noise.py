@@ -218,7 +218,7 @@ def apply_block_noise(
     ax, ay = np.array(spec.anchors, dtype=np.int64).reshape(-1, 2).T
     sy, sx = np.divmod(np.arange(spec.block_edge**2), spec.block_edge)
     idx = ((ay[:, None] + sy) * grid.width + ax[:, None] + sx).ravel()
-    votes = np.array(grid.votes)
+    votes = grid.votes.copy()
     idx = idx[votes[idx] == spec.target]
     if spec.flip_probability < 1.0:
         idx = idx[rng.random(idx.size) < spec.flip_probability]
@@ -228,18 +228,18 @@ def apply_block_noise(
         concentrated_area=spec.concentrated_area(),
         residual=0,
     )
-    return grid.replace_votes(tuple(votes.tolist())), report
+    return grid.replace_votes(votes), report
 
 
 def apply_salt_pepper(grid: Grid, spec: SaltPepperSpec) -> tuple[Grid, NoiseReport]:
     """Flip each target cell independently with probability spec.rate."""
     rng = np.random.default_rng(spec.seed)
-    votes = np.array(grid.votes)
+    votes = grid.votes.copy()
     idx = np.flatnonzero(votes == spec.target)
     idx = idx[rng.random(idx.size) < spec.rate]
     votes[idx] = spec.flip_to
     report = NoiseReport(flipped_cells=idx.size, concentrated_area=0, residual=idx.size)
-    return grid.replace_votes(tuple(votes.tolist())), report
+    return grid.replace_votes(votes), report
 
 
 def random_anchor_placement(

@@ -15,6 +15,7 @@ as the independent oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,20 +87,12 @@ def best_partition(
 ) -> ContaminationReport:
     """The shift touching the fewest regions; ties break toward the
     lexicographically smallest (dx, dy)."""
-    best = None
-    for report in sweep_partitions(dims, region_edge, spec):
-        if best is None or report.contaminated_regions < best.contaminated_regions:
-            best = report
-    assert best is not None
-    return best
+    return min(sweep_partitions(dims, region_edge, spec), key=lambda r: r.contaminated_regions)
 
 
 def shift_histogram(reports: tuple[ContaminationReport, ...]) -> dict[int, int]:
     """How many shifts touched k regions, for each observed k."""
-    hist: dict[int, int] = {}
-    for report in reports:
-        hist[report.contaminated_regions] = hist.get(report.contaminated_regions, 0) + 1
-    return dict(sorted(hist.items()))
+    return dict(sorted(Counter(report.contaminated_regions for report in reports).items()))
 
 
 def sweep_to_csv(reports: tuple[ContaminationReport, ...]) -> str:

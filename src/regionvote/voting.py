@@ -110,8 +110,8 @@ def tally_global(grid: Grid) -> GlobalTally:
 
 def tally_regional(grid: Grid, partition: Partition) -> RegionalTally:
     """Per-region strict plurality, then strict plurality of won regions."""
-    c, votes = grid.candidate_count, np.array(grid.votes, dtype=np.int64)
-    counts = _region_counts(votes, partition, (grid.width, grid.height), c)
+    c = grid.candidate_count
+    counts = _region_counts(grid.votes, partition, (grid.width, grid.height), c)
     winners = _strict_winners(counts)
     regions_won = _regions_won(winners, c).tolist()
     return RegionalTally(

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from regionvote.cli import main
+from regionvote.cli import _COMMANDS, main
 
 
 def run_cli(*args):
@@ -266,3 +267,77 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "bounds" in proc.stdout and "eigen" in proc.stdout
+
+
+# Every config key at boundary values. Small attempts, trials and images
+# keep each case to milliseconds; the key under test overrides them.
+_FAST = {
+    "bounds": {},
+    "flag": {"attempts": "20"},
+    "sweep": {},
+    "breakdown": {"trials": "20"},
+    "eigen": {
+        "patterns": "3", "width": "12", "height": "8", "k": "2",
+        "region_counts": "1,4", "noise_levels": "0.0", "trials": "1",
+    },
+}
+
+
+def _boundary_values(key, default):
+    if key == "seed":
+        return ("0", "-1", str(2**64))
+    if isinstance(default, tuple) and (not default or isinstance(default[0], tuple)):
+        return ("", "3", "0x3", "-1x2", "1000x1000", "0x0,1x1")
+    if isinstance(default, tuple):
+        return ("", "0", "-1", "1000")
+    if isinstance(default, str):
+        return ("", "bogus")
+    if isinstance(default, float):
+        return ("-1", "0", "2")
+    return ("0", "-1", "1000")
+
+
+# Each of these exits 2 with one config error line.
+_MUST_EXIT_2 = [
+    ("sweep", {"region_edge": "0"}),
+    ("sweep", {"block_edge": "0"}),
+    ("sweep", {"block_edge": "60"}),
+    ("sweep", {"blocks": "5000"}),
+    ("sweep", {"width": "0"}),
+    # fits by area, but seed 0 places its first block where no tiling fits
+    ("sweep", {"width": "10", "height": "10", "region_edge": "5", "blocks": "4"}),
+    ("bounds", {"edge_ratios": "0"}),
+    ("bounds", {"edge_pairs": "0x3"}),
+    ("bounds", {"margin_pcts": ""}),
+    ("breakdown", {"a_frac": "2"}),
+    ("breakdown", {"grid_mode": "bogus"}),
+    ("breakdown", {"search": "greedy", "block_edge": "0"}),
+    ("breakdown", {"search": "greedy", "block_edge": "7"}),
+    ("eigen", {"width": "1", "height": "1"}),
+]
+
+
+def _boundary_cases():
+    for command, (_, cls) in _COMMANDS.items():
+        for field in fields(cls):
+            for value in _boundary_values(field.name, getattr(cls(), field.name)):
+                yield command, {field.name: value}
+    for search in ("greedy", "randomized"):
+        for edge in ("0", "-1", "7"):
+            yield "breakdown", {"search": search, "block_edge": edge}
+
+
+def test_boundary_configs_never_raise(tmp_path, capsys):
+    failures = []
+    cases = [(c, o, False) for c, o in _boundary_cases()] + [(c, o, True) for c, o in _MUST_EXIT_2]
+    for i, (command, overrides, must_exit_2) in enumerate(cases):
+        cfg = tmp_path / f"c{i}.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in {**_FAST[command], **overrides}.items()))
+        code = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / f"o{i}"))
+        err = capsys.readouterr().err
+        one_line = err.startswith("config error:") and err.count("\n") == 1
+        if code not in (0, 1, 2) or (code == 2 and not one_line) or (must_exit_2 and code != 2):
+            failures.append((command, overrides, code, err))
+    assert failures == []
+    assert run_cli("sweep", "--seed", str(2**64), "--out", str(tmp_path / "big")) == 2
+    assert capsys.readouterr().err.startswith("config error: seed must fit")

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,37 @@ def test_grid_validation():
         Grid(2, 2, 2, (0, 1, 2, 0))  # candidate id out of range
     with pytest.raises(ValueError):
         Grid(2, 2, 0, (0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        Grid(2, 2, 2, ((0, 1), (1, 0)))  # votes must be flat
+
+
+def test_votes_are_a_read_only_copy():
+    source = np.array([0, 1, 1, 0])
+    g = Grid(2, 2, 2, source)
+    source[0] = 1
+    assert g.vote_at(0, 0) == 0
+    assert g.votes.dtype == np.int64
+    with pytest.raises(ValueError):
+        g.votes[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.votes = source
+
+
+def test_tuple_list_and_array_votes_give_equal_grids():
+    votes = (0, 1, 2, 2, 1, 0)
+    as_tuple, as_list, as_array = (
+        Grid(3, 2, 3, v) for v in (votes, list(votes), np.array(votes, dtype=np.int32))
+    )
+    assert as_tuple == as_list == as_array
+    assert as_tuple != Grid(3, 2, 3, (0, 1, 2, 2, 1, 1))
+    assert as_tuple != Grid(2, 3, 3, votes)
+    assert as_tuple != Grid(3, 2, 4, votes)
+
+
+def test_counts_and_vote_at_return_python_ints():
+    g = Grid(3, 2, 3, np.array([0, 1, 2, 2, 1, 0]))
+    assert [type(n) for n in g.counts()] == [int, int, int]
+    assert type(g.vote_at(2, 0)) is int
 
 
 def test_vote_addressing_is_row_major():
@@ -35,7 +68,7 @@ def test_vote_addressing_is_row_major():
     assert g.vote_at(2, 0) == 2
     assert g.vote_at(0, 1) == 2
     assert g.vote_at(2, 1) == 0
-    assert g.rows() == [[0, 1, 2], [2, 1, 0]]
+    assert grid_to_text(g) == "3 2 3\n0 1 2\n2 1 0\n"
 
 
 def test_counts():
