@@ -13,9 +13,7 @@ from regionvote.grid import (
     Grid,
     GridDims,
     Partition,
-    cells_of_region,
     enumerate_partitions,
-    region_of,
 )
 from regionvote.noise import (
     BlockNoiseSpec,
@@ -48,9 +46,7 @@ __all__ = [
     "Grid",
     "Partition",
     "DimensionMismatchError",
-    "region_of",
     "enumerate_partitions",
-    "cells_of_region",
     "BlockNoiseSpec",
     "SaltPepperSpec",
     "NoiseArea",

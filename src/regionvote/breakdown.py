@@ -14,6 +14,10 @@ are considered. The searches:
   * salt_pepper_threshold sweeps dispersed-noise rates and estimates the
     rate where the overturn frequency crosses one half.
 
+A best-shift scheme picks each placement's partition with
+shifting.contaminated_counts, the contamination kernel the sweep uses,
+so the search and the sweep cannot disagree on the chosen shift.
+
 Grid generation lives here too, with the margin-enforcing mode the
 regional lower bounds are stated for.
 
@@ -37,7 +41,7 @@ from regionvote.noise import (
     PlacementInfeasibleError,
     _sample_disjoint_anchors,
 )
-from regionvote.shifting import best_partition
+from regionvote.shifting import best_partition, contaminated_counts
 from regionvote.voting import Winner, plurality_winner, tally_global, tally_regional
 from regionvote.voting import _region_counts, _regions_won, _strict_winners
 
@@ -353,7 +357,6 @@ class _FastState:
         self.sat = _summed_area((self.votes == target).reshape(grid.height, grid.width))
         self.base_counts = np.bincount(self.votes, minlength=self.candidates)
         self._partition_cache: dict[Partition, tuple] = {}
-        self._choosers: dict[int, _ShiftChooser] = {}
 
     def block_flips(self, ax: np.ndarray, ay: np.ndarray, edge: int) -> int:
         s, x1, y1 = self.sat, ax + edge, ay + edge
@@ -412,49 +415,8 @@ class _FastState:
 
     def best_shift(self, region_edge: int, ax: np.ndarray, ay: np.ndarray, edge: int) -> Partition:
         """The shift touching the fewest regions, as shifting.best_partition picks it."""
-        if edge > region_edge:
-            anchors = tuple(zip(ax.tolist(), ay.tolist()))
-            probe = BlockNoiseSpec(edge, anchors, self.target, self.flip_to, 1.0)
-            return best_partition(self.dims, region_edge, probe).partition
-        if region_edge not in self._choosers:
-            self._choosers[region_edge] = _ShiftChooser(self.dims, region_edge)
-        chooser = self._choosers[region_edge]
-        return chooser.partitions[int(np.argmin(chooser.counts(ax, ay, edge)))]
-
-
-class _ShiftChooser:
-    """Vectorized contaminated-region counts for every shift at once.
-
-    Valid when the block edge does not exceed the region edge, so a block
-    spans at most two region columns and two region rows.
-    """
-
-    def __init__(self, dims: GridDims, region_edge: int):
-        self.dims = dims
-        self.edge = region_edge
-        self.n_cols = dims[0] // region_edge
-        self.n_rows = dims[1] // region_edge
-        n_regions = self.n_cols * self.n_rows
-        self.partitions = enumerate_partitions(region_edge)
-        self.dx = np.array([p.dx for p in self.partitions])[:, None]
-        self.dy = np.array([p.dy for p in self.partitions])[:, None]
-        self.buf = np.zeros((len(self.partitions), n_regions), dtype=bool)
-
-    def counts(self, ax: np.ndarray, ay: np.ndarray, block_edge: int) -> np.ndarray:
-        width, height = self.dims
-        e = self.edge
-        sx = (ax[None, :] + self.dx) % width
-        sy = (ay[None, :] + self.dy) % height
-        c0 = sx // e
-        c1 = ((sx + block_edge - 1) % width) // e
-        r0 = sy // e
-        r1 = ((sy + block_edge - 1) % height) // e
-        ids = np.concatenate([c + self.n_cols * r for r in (r0, r1) for c in (c0, c1)], axis=1)
-        rows = np.arange(len(self.partitions))[:, None]
-        self.buf[rows, ids] = True
-        out = self.buf.sum(axis=1)
-        self.buf[rows, ids] = False
-        return out
+        counts = contaminated_counts(self.dims, region_edge, ax, ay, edge)
+        return Partition.square(region_edge, *divmod(int(np.argmin(counts)), region_edge))
 
 
 def _check_block_edge(grid: Grid, block_edge: int) -> None:
@@ -565,6 +527,10 @@ def greedy_block_breakdown(
 # ---------------------------------------------------------------------------
 # dispersed-noise thresholds
 
+# Most uniform draws salt_pepper_threshold holds at once: its trials x
+# target-cells matrix is drawn in row chunks of this many draws or fewer.
+_SALT_PEPPER_CHUNK_DRAWS = 1 << 22
+
 
 @dataclass(frozen=True)
 class ThresholdPoint:
@@ -612,27 +578,25 @@ def salt_pepper_threshold(
         counts = state.partition_baseline(scheme.partition)[0]
         region_idx = scheme.partition.labels(state.dims)[target_idx]
     rng = np.random.default_rng(seed)
+    chunk = max(1, _SALT_PEPPER_CHUNK_DRAWS // max(n_t, 1))
     points = []
     for rate in rates:
-        draws = rng.random((trials, n_t))
-        flips_mat = draws < rate
         overturns = 0
-        if isinstance(scheme, GlobalScheme):
-            flip_totals = flips_mat.sum(axis=1)
-            for f in flip_totals:
-                w = state.global_outcome(int(f))
-                if w is not None and w != target:
-                    overturns += 1
-        else:
-            for t in range(trials):
-                f_by_region = np.bincount(region_idx[flips_mat[t]], minlength=len(counts))
-                adjusted = counts.copy()
-                adjusted[:, target] -= f_by_region
-                adjusted[:, flip_to] += f_by_region
-                won = _regions_won(_strict_winners(adjusted), grid.candidate_count)
-                w = plurality_winner(won.tolist())
-                if w is not None and w != target:
-                    overturns += 1
+        for start in range(0, trials, chunk):
+            # consecutive row chunks of rng.random equal one trials x n_t draw
+            flips_mat = rng.random((min(chunk, trials - start), n_t)) < rate
+            if isinstance(scheme, GlobalScheme):
+                winners = [state.global_outcome(int(f)) for f in flips_mat.sum(axis=1)]
+            else:
+                winners = []
+                for flips in flips_mat:
+                    f_by_region = np.bincount(region_idx[flips], minlength=len(counts))
+                    adjusted = counts.copy()
+                    adjusted[:, target] -= f_by_region
+                    adjusted[:, flip_to] += f_by_region
+                    won = _regions_won(_strict_winners(adjusted), grid.candidate_count)
+                    winners.append(plurality_winner(won.tolist()))
+            overturns += sum(w is not None and w != target for w in winners)
         freq = overturns / trials
         lo, hi = _wilson_interval(overturns, trials)
         points.append(ThresholdPoint(float(rate), freq, lo, hi))

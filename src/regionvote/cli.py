@@ -35,7 +35,7 @@ from .eigenlab import PatternGallery, run_conjecture_experiment
 from .grid import Grid, Partition, _summed_area, grid_to_text
 from .noise import BlockNoiseSpec, PlacementInfeasibleError, random_anchor_placement
 from .seeding import stream_rng, stream_seed
-from .shifting import best_partition, shift_histogram, sweep_partitions, sweep_to_csv
+from .shifting import fewest_contaminated, shift_histogram, sweep_partitions, sweep_to_csv
 from .voting import tally_global, tally_regional
 
 # Stability-margin and shifting-gain tables for the default configuration,
@@ -52,6 +52,10 @@ EXPECTED_TABLE2 = (
     (719, 1035, 1278, 1840),
     (750, 1080, 1333, 1920),
 )
+
+# Bytes any one float64 array of an eigen run may take: its Gram matrix
+# and its pattern gallery are refused above this before training starts.
+EIGEN_ARRAY_CAP = 1 << 30
 
 # The regional schemes the flag instance must survive: 5x4 and 3x3 regions.
 FLAG_PARTITIONS = (Partition(region_width=5, region_height=4), Partition.square(3))
@@ -304,6 +308,12 @@ class EigenConfig:
             raise ValueError("need at least 2 patterns")
         if min(self.width, self.height) < 1 or self.width * self.height < 2:
             raise ValueError("width and height must be positive, with at least 2 pixels")
+        for name, entries in (
+            ("patterns x patterns Gram matrix", self.patterns * self.patterns),
+            ("patterns x pixels gallery", self.patterns * self.width * self.height),
+        ):
+            if 8 * entries > EIGEN_ARRAY_CAP:
+                raise ValueError(f"the {name} would take {entries / 2**27:.1f} GiB, over 1 GiB")
         if self.gallery_seed < 0:
             raise ValueError("gallery_seed must be non-negative")
         if not (self.region_counts and self.noise_levels):
@@ -597,7 +607,7 @@ def cmd_sweep(cfg: SweepConfig, out_dir: pathlib.Path, fmt: str) -> int:
         raise ConfigError(str(exc)) from exc
     reports = sweep_partitions(dims, cfg.region_edge, spec)
     hist = shift_histogram(reports)
-    best = best_partition(dims, cfg.region_edge, spec)
+    best = fewest_contaminated(reports)
     best_info = {
         "dx": best.partition.dx,
         "dy": best.partition.dy,

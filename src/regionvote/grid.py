@@ -207,8 +207,9 @@ class Partition:
 
     @lru_cache(maxsize=8)
     def labels(self, dims: GridDims) -> np.ndarray:
-        """Region index of every cell, flat in row-major cell order, as
-        region_of gives it; read-only and cached per (partition, dims)."""
+        """Region index of every cell, flat in row-major order: the shift wraps,
+        so cell (x, y) is in region column ((x + dx) mod width) // region_width,
+        and likewise for rows. Read-only; cached per (partition, dims)."""
         self.validate_for(dims)
         width, height = dims
         cols = ((np.arange(width) + self.dx) % width) // self.region_width
@@ -252,23 +253,6 @@ def _summed_area(mask: np.ndarray) -> np.ndarray:
     return table
 
 
-def region_of(partition: Partition, dims: GridDims, cell: Cell) -> int:
-    """Row-major region index of a cell under a shifted partition.
-
-    The shift wraps: region column is floor(((x + dx) mod l) / region_width)
-    and likewise for rows, so cells pushed past the right or bottom border
-    re-enter on the opposite side.
-    """
-    partition.validate_for(dims)
-    width, height = dims
-    x, y = cell
-    if not (0 <= x < width and 0 <= y < height):
-        raise ValueError(f"cell ({x}, {y}) outside {width}x{height} grid")
-    col = ((x + partition.dx) % width) // partition.region_width
-    row = ((y + partition.dy) % height) // partition.region_height
-    return col + (width // partition.region_width) * row
-
-
 def enumerate_partitions(edge: int) -> tuple[Partition, ...]:
     """All distinct shifts of the square partition with the given edge.
 
@@ -278,27 +262,3 @@ def enumerate_partitions(edge: int) -> tuple[Partition, ...]:
     return tuple(
         Partition.square(edge, dx, dy) for dx in range(edge) for dy in range(edge)
     )
-
-
-def cells_of_region(partition: Partition, dims: GridDims, region: int) -> frozenset[Cell]:
-    """The set of cells mapping to the given region index.
-
-    Inverse-consistent with region_of: every returned cell maps back to
-    the index, and each region receives exactly region_width *
-    region_height cells.
-    """
-    partition.validate_for(dims)
-    width, height = dims
-    n_cols = width // partition.region_width
-    n_rows = height // partition.region_height
-    if not (0 <= region < n_cols * n_rows):
-        raise ValueError(f"region {region} out of range [0, {n_cols * n_rows})")
-    col = region % n_cols
-    row = region // n_cols
-    cells = []
-    for sy in range(partition.region_height):
-        y = (row * partition.region_height + sy - partition.dy) % height
-        for sx in range(partition.region_width):
-            x = (col * partition.region_width + sx - partition.dx) % width
-            cells.append((x, y))
-    return frozenset(cells)

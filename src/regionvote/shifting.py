@@ -7,10 +7,14 @@ and keeping the one touching the fewest regions is the shifting
 strategy; its reports plug directly into the ratio ceilings in
 regionvote.bounds.
 
-Contaminated regions are computed from block rectangles and the region
-lattice arithmetic, never by scanning cells, so a sweep over all shifts
-costs O(shifts * blocks). The brute-force cell scan lives in the tests
-as the independent oracle.
+One kernel, touched_regions, says which regions every block touches
+under a whole vector of shifts at once, for any block edge, from the
+region lattice arithmetic alone. A single partition's contaminated set,
+the sweep over all shifts, the best shift and the randomized search's
+per-trial chooser (regionvote.breakdown) all go through it, so a sweep
+costs O(shifts * blocks * K^2), with K pieces per block and axis, and
+scans no cells. The brute-force cell scan lives in the tests as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -43,23 +47,69 @@ class ContaminationReport:
     slack: int
 
 
+def _axis_regions(
+    anchors: np.ndarray, extent: int, shift: np.ndarray, axis_cells: int, region_edge: int
+) -> np.ndarray:
+    """Region index, on one axis, of each piece of a block cut at region
+    boundaries, on a new first axis of K = ceil((extent - 1) / region_edge) + 1.
+
+    Piece j holds the cell at offset min(j * region_edge, extent - 1) from
+    the block's first cell, so a piece past the block's end repeats the
+    last piece's region. anchors and shift broadcast against each other.
+    """
+    offsets = [*range(0, extent - 1, region_edge), extent - 1]
+    return np.add.outer(offsets, anchors + shift) % axis_cells // region_edge
+
+
+def touched_regions(
+    dims: GridDims, region_width: int, region_height: int,
+    dx: np.ndarray, dy: np.ndarray, ax: np.ndarray, ay: np.ndarray, block_edge: int,
+) -> np.ndarray:
+    """Region indices the blocks anchored at (ax, ay) touch under each of S
+    shifts (dx[s], dy[s]): an (S, blocks * Kx * Ky) array, with repeats,
+    Kx and Ky pieces per block as _axis_regions cuts them."""
+    width, height = dims
+    cols = _axis_regions(ax, block_edge, dx[:, None], width, region_width)
+    rows = (width // region_width) * _axis_regions(
+        ay, block_edge, dy[:, None], height, region_height
+    )
+    return np.concatenate([col + row for row in rows for col in cols], axis=1)
+
+
+def contaminated_counts(
+    dims: GridDims, region_edge: int, ax: np.ndarray, ay: np.ndarray, block_edge: int
+) -> np.ndarray:
+    """Contaminated-region count of every shift of the square partition,
+    in enumerate_partitions order (dx outer)."""
+    dx, dy = divmod(np.arange(region_edge * region_edge), region_edge)
+    ids = touched_regions(dims, region_edge, region_edge, dx, dy, ax, ay, block_edge)
+    n_regions = (dims[0] // region_edge) * (dims[1] // region_edge)
+    hit = np.zeros((dx.size, n_regions), dtype=bool)
+    hit.ravel()[ids + n_regions * np.arange(dx.size)[:, None]] = True
+    return hit.sum(axis=1)
+
+
+def _anchor_arrays(spec: BlockNoiseSpec) -> np.ndarray:
+    """The anchors as two rows, x then y."""
+    return np.array(spec.anchors, dtype=np.int64).reshape(-1, 2).T
+
+
 def contaminated_region_ids(
     dims: GridDims, partition: Partition, spec: BlockNoiseSpec
 ) -> frozenset[int]:
     """Indices of regions intersecting at least one noise block."""
     partition.validate_for(dims)
     spec.validate_bounds(dims)
-    ax, ay = np.array(spec.anchors, dtype=np.int64).reshape(-1, 2).T
-    x0, x1, y0, y1, regions = partition.block_pieces(dims, ax, ay, spec.block_edge)
-    return frozenset(regions[(x1 > x0) & (y1 > y0)].tolist())
+    ids = touched_regions(
+        dims, partition.region_width, partition.region_height,
+        np.array([partition.dx]), np.array([partition.dy]),
+        *_anchor_arrays(spec), spec.block_edge,
+    )
+    return frozenset(ids[0].tolist())
 
 
-def contamination_report(
-    dims: GridDims, partition: Partition, spec: BlockNoiseSpec
-) -> ContaminationReport:
-    touched = len(contaminated_region_ids(dims, partition, spec))
-    region_area = partition.region_width * partition.region_height
-    contaminated_area = touched * region_area
+def _report(partition: Partition, touched: int, spec: BlockNoiseSpec) -> ContaminationReport:
+    contaminated_area = touched * partition.region_width * partition.region_height
     concentrated = spec.concentrated_area()
     ratio = Fraction(contaminated_area, concentrated) if concentrated else None
     return ContaminationReport(
@@ -72,22 +122,36 @@ def contamination_report(
     )
 
 
+def contamination_report(
+    dims: GridDims, partition: Partition, spec: BlockNoiseSpec
+) -> ContaminationReport:
+    return _report(partition, len(contaminated_region_ids(dims, partition, spec)), spec)
+
+
 def sweep_partitions(
     dims: GridDims, region_edge: int, spec: BlockNoiseSpec
 ) -> tuple[ContaminationReport, ...]:
     """Contamination reports for every shift, in shift order (dx outer)."""
+    Partition.square(region_edge).validate_for(dims)
+    spec.validate_bounds(dims)
+    counts = contaminated_counts(dims, region_edge, *_anchor_arrays(spec), spec.block_edge)
     return tuple(
-        contamination_report(dims, partition, spec)
-        for partition in enumerate_partitions(region_edge)
+        _report(partition, touched, spec)
+        for partition, touched in zip(enumerate_partitions(region_edge), counts.tolist())
     )
+
+
+def fewest_contaminated(reports: tuple[ContaminationReport, ...]) -> ContaminationReport:
+    """The report touching the fewest regions; ties go to the first, which
+    in sweep order is the lexicographically smallest (dx, dy)."""
+    return min(reports, key=lambda r: r.contaminated_regions)
 
 
 def best_partition(
     dims: GridDims, region_edge: int, spec: BlockNoiseSpec
 ) -> ContaminationReport:
-    """The shift touching the fewest regions; ties break toward the
-    lexicographically smallest (dx, dy)."""
-    return min(sweep_partitions(dims, region_edge, spec), key=lambda r: r.contaminated_regions)
+    """The sweep's report touching the fewest regions, as fewest_contaminated picks it."""
+    return fewest_contaminated(sweep_partitions(dims, region_edge, spec))
 
 
 def shift_histogram(reports: tuple[ContaminationReport, ...]) -> dict[int, int]:

@@ -5,7 +5,8 @@ each block at region boundaries one run at a time (axis_split), read each
 piece's target count from the summed-area table (rect_target_count), and
 re-tally every touched region with plurality_winner. Its baselines come
 from region_of, cell by cell. The fast path must agree with it and with a
-full tally of the noisy grid.
+full tally of the noisy grid, and the best-shift chooser must pick the
+shift that a cell scan of every block finds touching the fewest regions.
 """
 
 import numpy as np
@@ -13,15 +14,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cell_oracles import region_of, scan_contaminated
 from regionvote.breakdown import _FastState
-from regionvote.grid import Grid, Partition, region_of
+from regionvote.grid import Grid, Partition, enumerate_partitions
 from regionvote.noise import (
     BlockNoiseSpec,
     PlacementInfeasibleError,
     apply_block_noise,
     random_anchor_placement,
 )
-from regionvote.shifting import best_partition
 from regionvote.voting import plurality_winner, tally_regional
 
 
@@ -141,7 +142,7 @@ def test_block_outcome_matches_reference_property(seed, rw, rh, cols, rows, cand
 
 @given(seed=st.integers(0, 2**32 - 1), region_edge=st.integers(2, 6), blocks=st.integers(1, 5))
 @settings(max_examples=60, deadline=None)
-def test_best_shift_matches_shifting_best_partition(seed, region_edge, blocks):
+def test_best_shift_matches_cell_scan(seed, region_edge, blocks):
     dims = (4 * region_edge, 3 * region_edge)
     rng = np.random.default_rng(seed)
     edge = int(rng.integers(1, 2 * region_edge + 1))
@@ -152,4 +153,6 @@ def test_best_shift_matches_shifting_best_partition(seed, region_edge, blocks):
     state = _FastState(random_grid(rng, *dims, 2), 0, 1)
     ax = np.array([a[0] for a in spec.anchors], dtype=np.int64)
     ay = np.array([a[1] for a in spec.anchors], dtype=np.int64)
-    assert state.best_shift(region_edge, ax, ay, edge) == best_partition(dims, region_edge, spec).partition
+    partitions = enumerate_partitions(region_edge)
+    scans = [len(scan_contaminated(dims, p, spec)) for p in partitions]
+    assert state.best_shift(region_edge, ax, ay, edge) == partitions[scans.index(min(scans))]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regionvote import breakdown
 from regionvote.bounds import national_breakdown
 from regionvote.breakdown import (
     BestShiftScheme,
@@ -247,6 +248,19 @@ def test_salt_pepper_threshold_curves_paired():
     assert freqs == sorted(freqs) or max(
         a - b for a, b in zip(freqs, freqs[1:])
     ) < 0.1
+
+
+@pytest.mark.parametrize("scheme", [GlobalScheme(), RegionalScheme(Partition.square(5))])
+@pytest.mark.parametrize("rows", [1, 7])
+def test_salt_pepper_chunked_draws_equal_one_draw(monkeypatch, scheme, rows):
+    g = generate_grid(GridGenSpec(20, 20, 0.55, "uniform_random", seed=16))
+    rates = (0.0, 0.04, 0.08, 0.12, 0.2)
+    whole = salt_pepper_threshold(g, scheme, rates, trials=60, seed=17)
+    # 220 target cells: the whole 60 x 220 matrix is one chunk by default,
+    # and rows-row chunks here, the last of them short
+    monkeypatch.setattr(breakdown, "_SALT_PEPPER_CHUNK_DRAWS", rows * 220 + 219)
+    assert salt_pepper_threshold(g, scheme, rates, trials=60, seed=17) == whole
+    assert 0 < sum(p.overturn_frequency for p in whole) < len(rates)
 
 
 def test_salt_pepper_rejects_best_shift():

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from regionvote import shifting
 from regionvote.cli import _COMMANDS, main
 
 
@@ -146,6 +147,26 @@ def test_sweep_csv_format(tmp_path):
     assert "dx,dy,contaminated_regions" in body
     hist = read(out / "histogram.csv")
     assert hist.splitlines()[1] == "contaminated_regions,count"
+
+
+def test_default_sweep_makes_one_sweep(tmp_path, monkeypatch):
+    # one kernel call over the 64 shifts of the 8-edge partition; the best
+    # shift comes from the same reports
+    shifts = []
+    kernel = shifting.touched_regions
+
+    def counting(dims, region_width, region_height, dx, dy, *rest):
+        shifts.append(dx.size)
+        return kernel(dims, region_width, region_height, dx, dy, *rest)
+
+    monkeypatch.setattr(shifting, "touched_regions", counting)
+    out = tmp_path / "o"
+    assert run_cli("sweep", "--out", str(out), "--format", "json") == 0
+    assert shifts == [64]
+    payload = json.loads(read(out / "sweep.json"))
+    fewest = min(row["contaminated_regions"] for row in payload["rows"])
+    first = next(row for row in payload["rows"] if row["contaminated_regions"] == fewest)
+    assert payload["best"] == first
 
 
 def test_breakdown_exhaustive_default(tmp_path):
@@ -314,6 +335,8 @@ _MUST_EXIT_2 = [
     ("breakdown", {"search": "greedy", "block_edge": "0"}),
     ("breakdown", {"search": "greedy", "block_edge": "7"}),
     ("eigen", {"width": "1", "height": "1"}),
+    ("eigen", {"patterns": "100000"}),  # a 74.5 GiB Gram matrix
+    ("eigen", {"width": "100000", "height": "1000"}),  # a 2.2 GiB gallery of 3 patterns
 ]
 
 

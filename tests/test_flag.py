@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from cell_oracles import region_of
 from regionvote.cli import (
     _apply_flag_noise,
     _flag_anchors,
@@ -21,7 +22,7 @@ from regionvote.cli import (
     _winner_cellmap,
     main,
 )
-from regionvote.grid import Grid, Partition, region_of
+from regionvote.grid import Grid, Partition
 
 
 def reference_layout(rng, width, height, black):

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cell_oracles import cells_of_region, region_of
 from regionvote.grid import (
     DimensionMismatchError,
     Grid,
     Partition,
-    cells_of_region,
     enumerate_partitions,
     grid_from_json,
     grid_from_text,
     grid_to_json,
     grid_to_text,
-    region_of,
 )
 
 

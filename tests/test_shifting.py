@@ -1,28 +1,24 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cell_oracles import scan_contaminated
 from regionvote.bounds import best_shift_ratio_ceiling, fixed_partition_ratio_ceiling
-from regionvote.grid import enumerate_partitions, region_of
-from regionvote.noise import BlockNoiseSpec, random_anchor_placement
+from regionvote.grid import Partition, enumerate_partitions
+from regionvote.noise import BlockNoiseSpec, PlacementInfeasibleError, random_anchor_placement
 from regionvote.shifting import (
     best_partition,
+    contaminated_counts,
     contaminated_region_ids,
     contamination_report,
     shift_histogram,
     sweep_partitions,
     sweep_to_csv,
+    touched_regions,
 )
-
-
-def scan_contaminated(dims, partition, spec):
-    """Reference implementation: walk every cell of every block."""
-    touched = set()
-    for cell in spec.cells():
-        touched.add(region_of(partition, dims, cell))
-    return frozenset(touched)
 
 
 def single_block(edge, anchor=(0, 0)):
@@ -41,6 +37,42 @@ def test_geometric_contamination_matches_cell_scan(noise_edge, region_edge, seed
     for partition in enumerate_partitions(region_edge):
         geometric = contaminated_region_ids(dims, partition, spec)
         assert geometric == scan_contaminated(dims, partition, spec)
+
+
+@pytest.mark.parametrize("region", [(3, 3), (4, 2), (2, 5)])
+@pytest.mark.parametrize("relation", ["below", "equal", "above"])
+@given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 3), blocks=st.integers(0, 4))
+@settings(max_examples=30, deadline=None)
+def test_touched_regions_match_cell_scan(region, relation, seed, extra, blocks):
+    # every shift of square and rectangular partitions, block edges below,
+    # equal to and above the region edge, and zero blocks
+    rw, rh = region
+    short, long = min(rw, rh), max(rw, rh)
+    edge = {"below": max(1, short - 1 - extra), "equal": short, "above": long + 1 + extra}[relation]
+    dims = (6 * rw, 4 * rh)
+    try:
+        spec = random_anchor_placement(dims, edge, blocks, seed=seed)
+    except PlacementInfeasibleError:
+        assume(False)
+    ax, ay = np.array(spec.anchors, dtype=np.int64).reshape(-1, 2).T
+    dx, dy = np.divmod(np.arange(rw * rh), rh)
+    ids = touched_regions(dims, rw, rh, dx, dy, ax, ay, edge)
+    assert ids.shape[0] == rw * rh
+    for row, sx, sy in zip(ids.tolist(), dx.tolist(), dy.tolist()):
+        assert set(row) == scan_contaminated(dims, Partition(rw, rh, sx, sy), spec)
+    if rw == rh:
+        counts = contaminated_counts(dims, rw, ax, ay, edge)
+        scans = [len(scan_contaminated(dims, p, spec)) for p in enumerate_partitions(rw)]
+        assert counts.tolist() == scans
+
+
+def test_zero_blocks_touch_nothing_and_pick_shift_zero():
+    dims = (12, 12)
+    spec = BlockNoiseSpec(block_edge=5, anchors=(), target=0, flip_to=1)
+    reports = sweep_partitions(dims, 4, spec)
+    assert [r.contaminated_regions for r in reports] == [0] * 16
+    assert best_partition(dims, 4, spec).partition == Partition.square(4)
+    assert contaminated_region_ids(dims, Partition(4, 3, 1, 2), spec) == frozenset()
 
 
 def test_contamination_report_fields():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regionvote.grid import Grid, Partition, region_of
+from cell_oracles import region_of
+from regionvote.grid import Grid, Partition
 from regionvote.voting import (
     RegionalTally,
     plurality_winner,
