@@ -2,21 +2,24 @@
 
 The same national-versus-regional game as vote grids, played with image
 recognition: store a gallery of patterns, project probes into the
-gallery's principal subspace, and predict by nearest neighbor. The
-global matcher uses one subspace for the whole image; the regional
-matcher splits the image into equal rectangular regions, matches each
-region independently, and lets the regions vote, winner take all. With
-one region the two are the same computation, bit for bit.
+gallery's principal subspace, and predict by nearest neighbor (the
+eigenface method). The global matcher uses one subspace for the whole
+image; the regional matcher splits the image into equal rectangular
+regions, matches each region independently, and lets the regions vote,
+winner take all. With one region the two are the same computation, bit
+for bit.
 
-Principal directions come from power iteration with deflation on the
-pattern Gram matrix (tolerance 1e-8, at most 10^4 iterations per
-direction), mapped back to pixel space; a dense eigensolver validates
-the routine in the test suite. Probes are noisy copies of gallery
-patterns: soft-edged disks overwrite parts of the image, and a faint
-full-field jitter rides along so that very small regions lose their
-footing, mirroring how tiny electoral regions stop being meaningful
-samples. A pixel counts as affected when it moved by at least 64/256 in
-gray value.
+Every region of a layout has the same patch shape, so one model holds
+all of them stacked on a leading region axis. Principal directions come
+from the n x n Gram matrices of the n gallery patches, all regions at
+once through a batched matmul and np.linalg.eigh, mapped back to pixel
+space; a region keeps its top min(k, d, n - 1) directions whose
+eigenvalue exceeds 1e-12 of its largest. A probe is matched in every
+region by one einsum. Probes are noisy copies of gallery patterns:
+soft-edged disks overwrite parts of the image, and a faint full-field
+jitter rides along so that very small regions lose their footing,
+mirroring how tiny electoral regions stop being meaningful samples. A
+pixel counts as affected when it moved by at least 64/256 in gray value.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 AFFECTED_LEVEL = 64 / 256
-_POWER_TOL = 1e-8
-_POWER_MAX_ITER = 10_000
 # Strictly below AFFECTED_LEVEL: the jitter on its own can never flag a
 # pixel as affected, only the disks can.
 _JITTER_SPAN = 0.24
@@ -56,8 +57,8 @@ class PatternGallery:
             )
         if len(self.labels) != pats.shape[0]:
             raise ValueError("one label per pattern required")
-        if pats.size and (pats.min() < 0.0 or pats.max() > 1.0):
-            raise ValueError("pattern values must lie in [0, 1]")
+        if not ((pats >= 0.0) & (pats <= 1.0)).all():
+            raise ValueError("pattern values must be finite and lie in [0, 1]")
         object.__setattr__(self, "patterns", pats)
 
     @property
@@ -91,7 +92,8 @@ class PatternGallery:
                     2 * math.pi * (u * xs / width + v * ys / height) + phase
                 )
             lo, hi = acc.min(), acc.max()
-            pats[p] = 0.05 + 0.9 * (acc - lo) / (hi - lo)
+            # a pattern every wave left constant is flat mid-gray
+            pats[p] = 0.5 if hi == lo else 0.05 + 0.9 * (acc - lo) / (hi - lo)
         return cls(width, height, pats, tuple(range(count)))
 
 
@@ -155,120 +157,6 @@ def load_gallery_pgm(directory) -> PatternGallery:
 # eigen decomposition
 
 
-def power_iteration_sym(
-    matrix: np.ndarray,
-    k: int,
-    tol: float = _POWER_TOL,
-    max_iter: int = _POWER_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k eigenpairs of a symmetric PSD matrix by deflation.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues non-increasing
-    and eigenvectors as rows. Stops early once the spectrum is exhausted
-    (an eigenvalue indistinguishable from zero), so fewer than k pairs
-    may come back. Start vectors come from a fixed generator, making the
-    output a deterministic function of the input matrix.
-    """
-    a = np.array(matrix, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n and not np.allclose(a, a.T, atol=1e-10):
-        raise ValueError("matrix must be symmetric")
-    rng = np.random.default_rng(0x5EED)
-    values = []
-    vectors = []
-    scale = None
-    for _ in range(min(k, n)):
-        v = rng.standard_normal(n)
-        norm = np.linalg.norm(v)
-        v /= norm
-        lam = 0.0
-        for _ in range(max_iter):
-            av = a @ v
-            lam = float(v @ av)
-            resid = np.linalg.norm(av - lam * v)
-            ref = scale if scale is not None else max(abs(lam), 1e-30)
-            if resid <= tol * ref:
-                break
-            av_norm = np.linalg.norm(av)
-            if av_norm <= 1e-30:
-                lam = 0.0
-                break
-            v = av / av_norm
-        if scale is None:
-            scale = max(abs(lam), 1e-30)
-        if lam <= scale * 1e-12:
-            break
-        values.append(lam)
-        vectors.append(v)
-        a -= lam * np.outer(v, v)
-    if not values:
-        return np.zeros(0), np.zeros((0, n))
-    return np.array(values), np.array(vectors)
-
-
-@dataclass(frozen=True)
-class EigenModel:
-    """Principal subspace of one image patch across the gallery.
-
-    basis rows are orthonormal pixel-space directions; coords holds each
-    gallery pattern's projection, one row per pattern.
-    """
-
-    mean: np.ndarray
-    basis: np.ndarray
-    eigenvalues: np.ndarray
-    coords: np.ndarray
-    labels: tuple[int, ...]
-
-
-def _train_patch(vectors: np.ndarray, labels: tuple[int, ...], k: int) -> EigenModel:
-    """PCA of row vectors via the Gram matrix and power iteration."""
-    count, dim = vectors.shape
-    mean = vectors.mean(axis=0)
-    centered = vectors - mean
-    gram = centered @ centered.T
-    if float(np.trace(gram)) <= 1e-24:
-        raise DegenerateGalleryError("gallery patterns are identical; nothing to decompose")
-    k_eff = min(k, dim, count - 1)
-    values, gram_vecs = power_iteration_sym(gram, k_eff)
-    basis = gram_vecs @ centered
-    basis /= np.sqrt(values)[:, None]
-    # Modified Gram-Schmidt: the mapped directions are orthogonal in exact
-    # arithmetic; this pins the invariant down numerically.
-    for i in range(basis.shape[0]):
-        for j in range(i):
-            basis[i] -= (basis[j] @ basis[i]) * basis[j]
-        basis[i] /= np.linalg.norm(basis[i])
-    coords = centered @ basis.T
-    return EigenModel(mean, basis, values, coords, labels)
-
-
-def train_global(gallery: PatternGallery, k: int) -> EigenModel:
-    """Whole-image principal subspace and gallery coordinates."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    flat = gallery.patterns.reshape(gallery.count, -1)
-    return _train_patch(flat, gallery.labels, k)
-
-
-@dataclass(frozen=True)
-class RegionalEigenModel:
-    """Independent eigen matchers for each region of the image."""
-
-    width: int
-    height: int
-    region_cols: int
-    region_rows: int
-    boxes: tuple[tuple[int, int, int, int], ...]  # (x0, y0, w, h), row-major
-    models: tuple[EigenModel, ...]
-
-    @property
-    def region_count(self) -> int:
-        return len(self.boxes)
-
-
 def region_layout(width: int, height: int, region_count: int) -> tuple[int, int]:
     """Pick the (columns, rows) split making regions closest to square.
 
@@ -296,41 +184,114 @@ def region_layout(width: int, height: int, region_count: int) -> tuple[int, int]
     return best[1], best[2]
 
 
-def train_regional(gallery: PatternGallery, region_count: int, k: int) -> RegionalEigenModel:
+def _region_patches(images: np.ndarray, cols: int, rows: int) -> np.ndarray:
+    """Cut (..., H, W) images into (R, ..., d) region patches.
+
+    Regions run row-major over the cols x rows layout; each patch lists
+    its pixels row by row, as image[y0:y0+h, x0:x0+w].reshape(-1) would.
+    """
+    *lead, height, width = images.shape
+    rh, rw = height // rows, width // cols
+    m = len(lead)
+    split = images.reshape(*lead, rows, rh, cols, rw)
+    stacked = split.transpose(m, m + 2, *range(m), m + 1, m + 3)
+    return stacked.reshape(rows * cols, *lead, rh * rw)
+
+
+@dataclass(frozen=True)
+class EigenModel:
+    """Principal subspaces of the R equal regions of an image, stacked.
+
+    Region r (row-major over region_cols x region_rows) has mean[r] (d,),
+    basis[r] (k, d) with orthonormal rows, eigenvalues[r] (k,)
+    non-increasing and coords[r] (n, k), the projections of the n gallery
+    patterns. A region whose spectrum ran out before k keeps zero rows in
+    basis, zeros in eigenvalues and zero columns in coords, which add 0 to
+    every distance. label_ranks[i] indexes gallery pattern i's label in the
+    sorted label_values.
+    """
+
+    width: int
+    height: int
+    region_cols: int
+    region_rows: int
+    mean: np.ndarray
+    basis: np.ndarray
+    eigenvalues: np.ndarray
+    coords: np.ndarray
+    label_values: np.ndarray
+    label_ranks: np.ndarray
+
+    @property
+    def region_count(self) -> int:
+        return self.region_cols * self.region_rows
+
+
+# Bytes of stacked Gram matrices per eigh call: however many regions a
+# layout has, training never holds more than this of R x n^2.
+_GRAM_CHUNK_BYTES = 1 << 24
+
+
+def _train(gallery: PatternGallery, cols: int, rows: int, k: int) -> EigenModel:
+    """PCA of every region's patches via their Gram matrices and eigh."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    cols, rows = region_layout(gallery.width, gallery.height, region_count)
-    rw, rh = gallery.width // cols, gallery.height // rows
-    boxes = []
-    models = []
-    for row in range(rows):
-        for col in range(cols):
-            x0, y0 = col * rw, row * rh
-            boxes.append((x0, y0, rw, rh))
-            patch = gallery.patterns[:, y0 : y0 + rh, x0 : x0 + rw].reshape(
-                gallery.count, -1
-            )
-            models.append(_train_patch(patch, gallery.labels, k))
-    return RegionalEigenModel(
-        gallery.width, gallery.height, cols, rows, tuple(boxes), tuple(models)
+    label_values, label_ranks = np.unique(gallery.labels, return_inverse=True)
+    patches = _region_patches(gallery.patterns, cols, rows)  # (R, n, d)
+    regions, count, dim = patches.shape
+    mean = patches.mean(axis=1)
+    centered = patches - mean[:, None, :]
+    k_eff = min(k, dim, count - 1)
+    basis = np.zeros((regions, k_eff, dim))
+    eigenvalues = np.zeros((regions, k_eff))
+    step = max(1, _GRAM_CHUNK_BYTES // (8 * count * count))
+    for lo in range(0, regions, step):
+        part = centered[lo : lo + step]
+        gram = part @ part.transpose(0, 2, 1)
+        if (np.trace(gram, axis1=1, axis2=2) <= 1e-24).any():
+            raise DegenerateGalleryError("gallery patterns are identical; nothing to decompose")
+        values, vectors = np.linalg.eigh(gram)
+        values = values[:, ::-1][:, :k_eff]
+        vectors = vectors[:, :, ::-1][:, :, :k_eff]
+        keep = values > values[:, :1] * 1e-12
+        values = np.where(keep, values, 0.0)
+        mapped = vectors.transpose(0, 2, 1) @ part
+        mapped /= np.sqrt(np.where(keep, values, 1.0))[:, :, None]
+        basis[lo : lo + step] = np.where(keep[:, :, None], mapped, 0.0)
+        eigenvalues[lo : lo + step] = values
+    coords = centered @ basis.transpose(0, 2, 1)
+    return EigenModel(
+        gallery.width, gallery.height, cols, rows,
+        mean, basis, eigenvalues, coords, label_values, label_ranks,
     )
+
+
+def train_global(gallery: PatternGallery, k: int) -> EigenModel:
+    """Whole-image principal subspace: the one-region model."""
+    return _train(gallery, 1, 1, k)
+
+
+def train_regional(gallery: PatternGallery, region_count: int, k: int) -> EigenModel:
+    """Independent principal subspaces for each of region_count regions."""
+    cols, rows = region_layout(gallery.width, gallery.height, region_count)
+    return _train(gallery, cols, rows, k)
 
 
 # ---------------------------------------------------------------------------
 # recognition
 
 
-def _nearest_label(model: EigenModel, patch: np.ndarray) -> tuple[int, bool]:
-    """Nearest gallery pattern in eigen coordinates; ties take the lowest
-    label and are flagged."""
-    coords = model.basis @ (patch - model.mean)
-    dists = np.linalg.norm(model.coords - coords, axis=1)
-    ordered = sorted(
-        range(dists.shape[0]), key=lambda i: (dists[i], model.labels[i])
-    )
-    label = model.labels[ordered[0]]
-    tied = dists.shape[0] > 1 and dists[ordered[0]] == dists[ordered[1]]
-    return label, tied
+def _nearest(model: EigenModel, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per region, the label rank of the nearest gallery pattern in eigen
+    coordinates, ties taking the lowest label, and whether the two
+    smallest distances are equal."""
+    patches = _region_patches(image, model.region_cols, model.region_rows)
+    probe = np.einsum("rkd,rd->rk", model.basis, patches - model.mean)
+    diff = model.coords - probe[:, None, :]
+    dists = np.sqrt(np.add.reduce(diff * diff, -1))  # the formula np.linalg.norm uses
+    at_min = dists == dists.min(axis=1, keepdims=True)
+    ranks = np.where(at_min, model.label_ranks, model.label_values.size).min(axis=1)
+    return ranks, at_min.sum(axis=1) > 1
 
 
 @dataclass(frozen=True)
@@ -345,7 +306,7 @@ class RecognitionOutcome:
 
 def recognize(
     global_model: EigenModel,
-    regional_model: RegionalEigenModel,
+    regional_model: EigenModel,
     probe: np.ndarray,
     true_label: int,
 ) -> RecognitionOutcome:
@@ -361,30 +322,19 @@ def recognize(
         raise ValueError(
             f"probe must be {regional_model.height}x{regional_model.width}"
         )
-    flat = probe.reshape(-1)
-    global_label, global_tied = _nearest_label(global_model, flat)
-
-    votes: dict[int, int] = {}
-    tied_regions = 0
-    for box, model in zip(regional_model.boxes, regional_model.models):
-        x0, y0, w, h = box
-        patch = probe[y0 : y0 + h, x0 : x0 + w].reshape(-1)
-        label, tied = _nearest_label(model, patch)
-        votes[label] = votes.get(label, 0) + 1
-        if tied:
-            tied_regions += 1
-    top = max(votes.values())
-    leaders = sorted(label for label, v in votes.items() if v == top)
-    regional_label = leaders[0]
-    regional_tied = len(leaders) > 1
-    fraction = votes.get(true_label, 0) / regional_model.region_count
+    global_rank, global_tied = _nearest(global_model, probe)
+    ranks, tied = _nearest(regional_model, probe)
+    values = regional_model.label_values
+    votes = np.bincount(ranks, minlength=values.size)
+    leaders = np.flatnonzero(votes == votes.max())
+    won = int(votes[values == true_label].sum())
     return RecognitionOutcome(
-        global_label=global_label,
-        global_tied=global_tied,
-        regional_label=regional_label,
-        regional_tied=regional_tied,
-        tied_regions=tied_regions,
-        fraction_regions_won=fraction,
+        global_label=int(global_model.label_values[global_rank[0]]),
+        global_tied=bool(global_tied[0]),
+        regional_label=int(values[leaders[0]]),
+        regional_tied=leaders.size > 1,
+        tied_regions=int(tied.sum()),
+        fraction_regions_won=won / regional_model.region_count,
     )
 
 

@@ -335,6 +335,8 @@ _MUST_EXIT_2 = [
     ("breakdown", {"search": "greedy", "block_edge": "0"}),
     ("breakdown", {"search": "greedy", "block_edge": "7"}),
     ("eigen", {"width": "1", "height": "1"}),
+    # 2x1 images give constant synthetic patterns (once NaN), and 4 regions do not fit
+    ("eigen", {"width": "2", "height": "1"}),
     ("eigen", {"patterns": "100000"}),  # a 74.5 GiB Gram matrix
     ("eigen", {"width": "100000", "height": "1000"}),  # a 2.2 GiB gallery of 3 patterns
 ]
