@@ -4,8 +4,9 @@ A breakdown of a voting scheme is the smallest number of target-to-rival
 flips that changes the winner. Only flips away from the standing winner
 are considered. The searches:
 
-  * exhaustive_breakdown walks flip counts upward and proves minimality,
-    practical for grids up to a few dozen cells or tiny budgets;
+  * exhaustive_breakdown returns the exact minimum: nationally by walking
+    flip counts upward, and for a fixed partition of a 2-candidate grid by
+    a knapsack over each region's end state, in O(R^2) for R regions;
   * randomized_breakdown samples concentrated block placements (flip
     probability 1) and reports the cheapest overturn found, an upper
     bound on the true breakdown;
@@ -235,6 +236,10 @@ class BreakdownResult:
 # ---------------------------------------------------------------------------
 # exhaustive search
 
+# Largest table the exact regional search may allocate: (R + 1) x (2R + 3) int64
+# entries for R regions, so at most about 4,000 regions.
+_EXACT_TABLE_CAP_BYTES = 1 << 28
+
 
 def exhaustive_breakdown(
     grid: Grid,
@@ -243,14 +248,13 @@ def exhaustive_breakdown(
     target: int = 0,
     flip_to: int = 1,
 ) -> BreakdownResult:
-    """True minimal overturning flip count, by enumeration.
+    """True minimal overturning flip count, or None above the budget.
 
     Tallies depend on flip sets only through per-region flip counts (the
     whole grid is one region for the national scheme), so the search
-    enumerates those counts and charges each region's flips to concrete
-    cells; that is exhaustive over outcome-distinct flip sets. Runtime
-    grows combinatorially with the budget and region count; meant for
-    grids of a few dozen cells.
+    finds the fewest flips per region and charges each region's flips to
+    its first target cells. A regional search needs a 2-candidate grid
+    and refuses a table over _EXACT_TABLE_CAP_BYTES.
     """
     if isinstance(scheme, BestShiftScheme):
         raise ValueError("exhaustive search enumerates bare flip sets; "
@@ -272,9 +276,7 @@ def _exhaustive_global(grid: Grid, budget: int, target: int, flip_to: int) -> Br
     for k in range(1, budget + 1):
         winner = state.global_outcome(k)
         if winner is not None and winner != target:
-            cells = tuple(
-                (i % grid.width, i // grid.width) for i in target_cells[:k]
-            )
+            cells = tuple((i % grid.width, i // grid.width) for i in target_cells[:k])
             witness = BlockNoiseSpec(1, cells, target, flip_to, 1.0)
             return BreakdownResult("global", "exhaustive", k, witness)
     return BreakdownResult("global", "exhaustive", None, None)
@@ -283,62 +285,54 @@ def _exhaustive_global(grid: Grid, budget: int, target: int, flip_to: int) -> Br
 def _exhaustive_regional(
     grid: Grid, partition: Partition, budget: int, target: int, flip_to: int
 ) -> BreakdownResult:
+    """Only each region's end state counts (held, tied or lost), so the
+    minimum is a multiple-choice knapsack over d = rival regions - target
+    regions: best[r, j] is the fewest flips in regions r.. that end with
+    d > 0 from d = j - R - 1 before region r. The forward pass takes, region
+    by region, the cheapest state that still finishes at the minimum: the
+    lexicographically first minimal allocation, the witness a search over
+    every allocation in order would return."""
+    if grid.candidate_count != 2:
+        raise ValueError(
+            f"exhaustive regional search needs 2 candidates, not {grid.candidate_count}"
+        )
     state = _FastState(grid, target, flip_to)
-    counts, winners, regions_won = state.partition_baseline(partition)
-    n_regions = len(winners)
+    counts = state.partition_baseline(partition)[0]
+    n = len(counts)
+    if 8 * (n + 1) * (2 * n + 3) > _EXACT_TABLE_CAP_BYTES:
+        raise ValueError(
+            f"{n} regions need an exhaustive search table over {_EXACT_TABLE_CAP_BYTES >> 20} MiB"
+        )
+    options = []  # (cost, step in d) of each region's reachable end states, cheapest first
+    for m in (counts[:, target] - counts[:, flip_to]).tolist():
+        tie = [(m // 2, 0)] if m > 0 and m % 2 == 0 else []
+        options.append([(0, -1 if m > 0 else int(m < 0))] + tie + [(m // 2 + 1, 1)] * (m >= 0))
+    # entries over n_cells are unreachable
+    best = np.full((n + 1, 2 * n + 3), grid.n_cells + 1, dtype=np.int64)
+    best[n, n + 2:] = 0
+    for r in range(n - 1, -1, -1):
+        row, nxt = best[r, 1:-1], best[r + 1]
+        for cost, step in options[r]:
+            np.minimum(row, cost + nxt[1 + step:2 * n + 2 + step], out=row)
+    label = scheme_label(RegionalScheme(partition))
+    need = int(best[0, n + 1])  # reachable: flipping every target cell loses every region
+    if need > budget:
+        return BreakdownResult(label, "exhaustive", None, None)
+    alloc = np.zeros(n, dtype=np.int64)
+    j, left = n + 1, need
+    for r in range(n):
+        cost, step = next(o for o in options[r] if best[r + 1, j + o[1]] == left - o[0])
+        alloc[r], j, left = cost, j + step, left - cost
+    # each region's first alloc[r] target cells, regions in index order
     target_idx = np.flatnonzero(state.votes == target)
-    target_regions = partition.labels(state.dims)[target_idx]
-    region_target_cells = [target_idx[target_regions == r].tolist() for r in range(n_regions)]
-    caps = [len(cells) for cells in region_target_cells]
-    region_counts = counts.tolist()
-    base_won = regions_won.tolist()
-    base_winners = [None if w < 0 else w for w in winners.tolist()]
-
-    def try_allocation(alloc: list[int]) -> bool:
-        won = list(base_won)
-        for rid, f in enumerate(alloc):
-            if f == 0:
-                continue
-            adjusted = list(region_counts[rid])
-            adjusted[target] -= f
-            adjusted[flip_to] += f
-            new_w = plurality_winner(adjusted)
-            old_w = base_winners[rid]
-            if old_w is not None:
-                won[old_w] -= 1
-            if new_w is not None:
-                won[new_w] += 1
-        overall = plurality_winner(won)
-        return overall is not None and overall != target
-
-    alloc = [0] * n_regions
-
-    def dfs(rid: int, remaining: int) -> bool:
-        if rid == n_regions:
-            return remaining == 0 and try_allocation(alloc)
-        if remaining > sum(caps[rid:]):
-            return False
-        for f in range(0, min(caps[rid], remaining) + 1):
-            alloc[rid] = f
-            if dfs(rid + 1, remaining - f):
-                return True
-        alloc[rid] = 0
-        return False
-
-    budget = min(budget, sum(caps))
-    for k in range(1, budget + 1):
-        if dfs(0, k):
-            cells = []
-            for rid, f in enumerate(alloc):
-                for idx in region_target_cells[rid][:f]:
-                    cells.append((idx % grid.width, idx // grid.width))
-            witness = BlockNoiseSpec(1, tuple(cells), target, flip_to, 1.0)
-            return BreakdownResult(
-                scheme_label(RegionalScheme(partition)), "exhaustive", k, witness
-            )
-    return BreakdownResult(
-        scheme_label(RegionalScheme(partition)), "exhaustive", None, None
-    )
+    regions = partition.labels(state.dims)[target_idx]
+    order = np.argsort(regions, kind="stable")
+    regions = regions[order]
+    rank = np.arange(order.size) - np.searchsorted(regions, regions)
+    picked = target_idx[order][rank < alloc[regions]]
+    cells = tuple(zip((picked % grid.width).tolist(), (picked // grid.width).tolist()))
+    witness = BlockNoiseSpec(1, cells, target, flip_to, 1.0)
+    return BreakdownResult(label, "exhaustive", need, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +357,11 @@ class _FastState:
         return int((s[y1, x1] - s[ay, x1] - s[y1, ax] + s[ay, ax]).sum())
 
     def partition_baseline(self, partition: Partition):
-        """(region counts, region winners with -1 for a tie, regions won)."""
+        """(region counts, region winners with -1 for a tie)."""
         cached = self._partition_cache.get(partition)
         if cached is None:
-            c = self.candidates
-            counts = _region_counts(self.votes, partition, self.dims, c)
-            winners = _strict_winners(counts)
-            cached = (counts, winners, _regions_won(winners, c))
+            counts = _region_counts(self.votes, partition, self.dims, self.candidates)
+            cached = (counts, _strict_winners(counts))
             self._partition_cache[partition] = cached
         return cached
 
@@ -378,23 +370,29 @@ class _FastState:
     ) -> Winner:
         """Regional winner once every target cell under the blocks flips.
 
-        Each block is cut at region boundaries on both axes, the pieces'
+        Each block is cut at region boundaries on both axes, and the pieces'
         target counts come from the summed-area table and are summed per
-        region, and only the touched regions are re-tallied.
+        region.
         """
-        counts, winners, won = self.partition_baseline(partition)
         x0, x1, y0, y1, regions = partition.block_pieces(self.dims, ax, ay, edge)
         s = self.sat
         pieces = s[y1, x1] - s[y0, x1] - s[y1, x0] + s[y0, x0]
-        flips = np.bincount(regions.ravel(), pieces.ravel(), minlength=len(winners))
+        flips = np.bincount(regions.ravel(), pieces.ravel()).astype(np.int64)
+        return self.regional_outcome(partition, flips)
+
+    def regional_outcome(self, partition: Partition, flips: np.ndarray) -> Winner:
+        """Regional winner once flips[r] target votes of region r flip; flips is
+        an int array that may end at the last touched region. Only the touched
+        regions are re-tallied."""
+        counts, winners = self.partition_baseline(partition)
         touched = np.flatnonzero(flips)
-        f = flips[touched].astype(np.int64)
+        f = flips[touched]
         adjusted = counts[touched]
         adjusted[:, self.target] -= f
         adjusted[:, self.flip_to] += f
-        lost = _regions_won(winners[touched], self.candidates)
-        gained = _regions_won(_strict_winners(adjusted), self.candidates)
-        return plurality_winner((won - lost + gained).tolist())
+        winners = winners.copy()
+        winners[touched] = _strict_winners(adjusted)
+        return plurality_winner(_regions_won(winners, self.candidates).tolist())
 
     def global_outcome(self, total_flips: int) -> Winner:
         adjusted = self.base_counts.copy()
@@ -571,11 +569,13 @@ def salt_pepper_threshold(
         raise ValueError("dispersed noise has no blocks for best-shift to dodge")
     if trials < 1:
         raise ValueError("trials must be positive")
+    for rate in rates:
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"rate must lie in [0, 1], got {rate!r}")
     state = _FastState(grid, target, flip_to)
     target_idx = np.flatnonzero(state.votes == target)
     n_t = target_idx.size
     if isinstance(scheme, RegionalScheme):
-        counts = state.partition_baseline(scheme.partition)[0]
         region_idx = scheme.partition.labels(state.dims)[target_idx]
     rng = np.random.default_rng(seed)
     chunk = max(1, _SALT_PEPPER_CHUNK_DRAWS // max(n_t, 1))
@@ -588,14 +588,10 @@ def salt_pepper_threshold(
             if isinstance(scheme, GlobalScheme):
                 winners = [state.global_outcome(int(f)) for f in flips_mat.sum(axis=1)]
             else:
-                winners = []
-                for flips in flips_mat:
-                    f_by_region = np.bincount(region_idx[flips], minlength=len(counts))
-                    adjusted = counts.copy()
-                    adjusted[:, target] -= f_by_region
-                    adjusted[:, flip_to] += f_by_region
-                    won = _regions_won(_strict_winners(adjusted), grid.candidate_count)
-                    winners.append(plurality_winner(won.tolist()))
+                winners = [
+                    state.regional_outcome(scheme.partition, np.bincount(region_idx[flips]))
+                    for flips in flips_mat
+                ]
             overturns += sum(w is not None and w != target for w in winners)
         freq = overturns / trials
         lo, hi = _wilson_interval(overturns, trials)
@@ -609,7 +605,7 @@ def estimate_threshold(curve: tuple[ThresholdPoint, ...]) -> float | None:
     prev = None
     for point in curve:
         if point.overturn_frequency >= 0.5:
-            if prev is None or point.overturn_frequency == prev.overturn_frequency:
+            if prev is None:
                 return point.rate
             span = point.rate - prev.rate
             rise = point.overturn_frequency - prev.overturn_frequency

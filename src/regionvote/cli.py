@@ -289,6 +289,8 @@ class BreakdownConfig:
             raise ValueError(f"unknown search {self.search!r}")
         if self.search == "exhaustive" and self.scheme == "best_shift":
             raise ValueError("exhaustive search does not cover best_shift")
+        if self.budget < 0:
+            raise ValueError("budget must be non-negative (0 means the search default)")
 
 
 @dataclass(frozen=True)

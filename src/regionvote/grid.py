@@ -229,19 +229,30 @@ class Partition:
         return x0[:, None, :], x1[:, None, :], y0[:, :, None], y1[:, :, None], regions
 
 
+def _axis_regions(
+    anchors: np.ndarray, extent: int, shift: int | np.ndarray, axis_cells: int, region_edge: int
+) -> np.ndarray:
+    """Region index, on one axis, of each piece of a block cut at region
+    boundaries, on a new first axis of K = ceil((extent - 1) / region_edge) + 1.
+    Piece j holds the cell at offset min(j * region_edge, extent - 1) from the
+    block's first cell, so a piece past the block's end repeats the last
+    piece's region. anchors and shift broadcast against each other."""
+    offsets = [*range(0, extent - 1, region_edge), extent - 1]
+    return np.add.outer(offsets, anchors + shift) % axis_cells // region_edge
+
+
 def _axis_segments(
     anchors: np.ndarray, extent: int, shift: int, axis_cells: int, region_edge: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cut block extents at region boundaries: (start, stop, region), each
-    (blocks, K) with K = ceil((extent - 1) / region_edge) + 1; pieces past
-    a block's end are empty (start == stop)."""
-    k = -(-(extent - 1) // region_edge) + 1
+    (blocks, K), regions as _axis_regions names them; pieces past a block's
+    end are empty (start == stop)."""
+    regions = _axis_regions(anchors, extent, shift, axis_cells, region_edge).T
     stop = (anchors + extent)[:, None]
     room = region_edge - (anchors + shift) % region_edge
-    cuts = (anchors + room)[:, None] + region_edge * np.arange(k - 1)
+    cuts = (anchors + room)[:, None] + region_edge * np.arange(regions.shape[1] - 1)
     bounds = np.minimum(np.concatenate([anchors[:, None], cuts, stop], axis=1), stop)
-    start = bounds[:, :-1]
-    return start, bounds[:, 1:], ((start + shift) % axis_cells) // region_edge
+    return bounds[:, :-1], bounds[:, 1:], regions
 
 
 def _summed_area(mask: np.ndarray) -> np.ndarray:

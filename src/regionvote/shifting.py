@@ -13,8 +13,11 @@ region lattice arithmetic alone. A single partition's contaminated set,
 the sweep over all shifts, the best shift and the randomized search's
 per-trial chooser (regionvote.breakdown) all go through it, so a sweep
 costs O(shifts * blocks * K^2), with K pieces per block and axis, and
-scans no cells. The brute-force cell scan lives in the tests as the
-independent oracle.
+scans no cells. It names each piece's region with grid._axis_regions,
+the formula Partition.block_pieces sums a block's flips by, so the
+regions a block touches and the regions it flips votes in are counted
+alike. The brute-force cell scan lives in the tests as the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from regionvote.grid import GridDims, Partition, enumerate_partitions
+from regionvote.grid import GridDims, Partition, _axis_regions, enumerate_partitions
 from regionvote.noise import BlockNoiseSpec
 
 
@@ -45,20 +48,6 @@ class ContaminationReport:
     concentrated_area: int
     ratio: Fraction | None
     slack: int
-
-
-def _axis_regions(
-    anchors: np.ndarray, extent: int, shift: np.ndarray, axis_cells: int, region_edge: int
-) -> np.ndarray:
-    """Region index, on one axis, of each piece of a block cut at region
-    boundaries, on a new first axis of K = ceil((extent - 1) / region_edge) + 1.
-
-    Piece j holds the cell at offset min(j * region_edge, extent - 1) from
-    the block's first cell, so a piece past the block's end repeats the
-    last piece's region. anchors and shift broadcast against each other.
-    """
-    offsets = [*range(0, extent - 1, region_edge), extent - 1]
-    return np.add.outer(offsets, anchors + shift) % axis_cells // region_edge
 
 
 def touched_regions(

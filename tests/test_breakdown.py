@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from breakdown_oracles import dfs_regional_breakdown
 from regionvote import breakdown
 from regionvote.bounds import national_breakdown
 from regionvote.breakdown import (
@@ -27,6 +28,7 @@ from regionvote.breakdown import (
 )
 from regionvote.grid import Grid, Partition
 from regionvote.noise import apply_block_noise
+from regionvote.seeding import stream_seed
 from regionvote.shifting import best_partition
 from regionvote.voting import tally_global, tally_regional
 
@@ -135,6 +137,78 @@ def test_exhaustive_witness_replays():
     assert report.flipped_cells == result.min_flips
     w = scheme_winner(noisy, scheme)
     assert w is not None and w != 0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rw=st.integers(1, 3),
+    rh=st.integers(1, 3),
+    cols=st.integers(1, 4),
+    rows=st.integers(1, 4),
+    target=st.integers(0, 1),
+    budget_offset=st.sampled_from([-1, 0, 3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_exhaustive_regional_matches_dfs_oracle(seed, rw, rh, cols, rows, target, budget_offset):
+    # square, rectangular and shifted partitions of grids up to 36 cells;
+    # budgets just below, at and above the true minimum
+    width, height = rw * cols, rh * rows
+    assume(width * height <= 36)
+    rng = np.random.default_rng(seed)
+    partition = Partition(rw, rh, int(rng.integers(rw)), int(rng.integers(rh)))
+    votes = (rng.random(width * height) < rng.uniform(0.1, 0.6)).astype(np.int64)
+    g = Grid(width, height, 2, votes if target == 0 else 1 - votes)
+    scheme = RegionalScheme(partition)
+    assume(scheme_winner(g, scheme) == target)
+    # the oracle visits up to prod(target cells + 1) allocations per budget
+    caps = np.bincount(partition.labels((width, height))[g.votes == target])
+    assume(np.prod(caps + 1) <= 5000)
+    flip_to = 1 - target
+    full = dfs_regional_breakdown(g, partition, g.n_cells, target, flip_to)
+    assert full.found  # flipping every target cell loses every region
+    assert exhaustive_breakdown(g, scheme, g.n_cells, target, flip_to) == full
+    budget = full.min_flips + budget_offset
+    result = exhaustive_breakdown(g, scheme, budget, target, flip_to)
+    assert result == dfs_regional_breakdown(g, partition, budget, target, flip_to)
+    assert result.found == (budget_offset >= 0)
+
+
+def test_exhaustive_regional_criterion_5_grid_is_exact_and_below_national():
+    grid = generate_grid(GridGenSpec(
+        100, 100, 0.525, "per_region_margin", seed=stream_seed(0, "a5.grid.0"), region_edge=5,
+    ))
+    scheme = RegionalScheme(Partition.square(5))
+    result = exhaustive_breakdown(grid, scheme, flip_budget=grid.n_cells)
+    a, b = grid.counts()
+    assert result.min_flips == 201 < (a - b) // 2 + 1 == 251
+    assert exhaustive_breakdown(grid, scheme, flip_budget=200).min_flips is None
+    noisy, report = apply_block_noise(grid, result.witness)
+    assert report.flipped_cells == 201
+    assert tally_regional(noisy, Partition.square(5)).winner == 1
+
+
+def test_exhaustive_regional_is_polynomial():
+    g = generate_grid(GridGenSpec(40, 40, 0.55, "uniform_random", seed=1))
+    scheme = RegionalScheme(Partition.square(4))
+    result = exhaustive_breakdown(g, scheme, flip_budget=200)
+    assert result.found
+    noisy, report = apply_block_noise(g, result.witness)
+    assert report.flipped_cells == result.min_flips
+    assert scheme_winner(noisy, scheme) == 1
+
+
+def test_exhaustive_regional_refuses_three_candidates_and_oversized_tables(monkeypatch):
+    three = Grid(4, 4, 3, (0,) * 10 + (1, 2) * 3)
+    with pytest.raises(ValueError, match="needs 2 candidates, not 3"):
+        exhaustive_breakdown(three, RegionalScheme(Partition.square(2)))
+    assert exhaustive_breakdown(three, GlobalScheme(), flip_budget=16).min_flips == 4
+    g = Grid(4, 4, 2, (0,) * 16)
+    # two regions lost and one tied; four 2x2 regions take a 5 x 11 table of 440 bytes
+    assert exhaustive_breakdown(g, RegionalScheme(Partition.square(2)), 16).min_flips == 8  # 3 + 3 + 2
+    monkeypatch.setattr(breakdown, "_EXACT_TABLE_CAP_BYTES", 439)
+    with pytest.raises(ValueError, match="4 regions"):
+        exhaustive_breakdown(g, RegionalScheme(Partition.square(2)), 16)
+    assert exhaustive_breakdown(g, RegionalScheme(Partition.square(4)), 16).min_flips == 9
 
 
 @given(st.integers(0, 10_000))
@@ -261,6 +335,44 @@ def test_salt_pepper_chunked_draws_equal_one_draw(monkeypatch, scheme, rows):
     monkeypatch.setattr(breakdown, "_SALT_PEPPER_CHUNK_DRAWS", rows * 220 + 219)
     assert salt_pepper_threshold(g, scheme, rates, trials=60, seed=17) == whole
     assert 0 < sum(p.overturn_frequency for p in whole) < len(rates)
+
+
+@pytest.mark.parametrize("candidates", [2, 3])
+def test_salt_pepper_replays_explicit_flips(candidates):
+    # redraw each rate's trials x target-cells matrix, flip those cells in
+    # the grid itself and count overturns with the full tallies
+    rng = np.random.default_rng(31 + candidates)
+    votes = rng.choice(candidates, 400, p=[0.5] + [0.5 / (candidates - 1)] * (candidates - 1))
+    g = Grid(20, 20, candidates, votes)
+    partition = Partition(5, 4, 2, 1)
+    rates, trials, seed = (0.0, 0.05, 0.15, 0.3), 40, 19
+    target_idx = np.flatnonzero(g.votes == 0)
+    draws = np.random.default_rng(seed)
+    replay = {"global": [], "regional": []}
+    for rate in rates:
+        overturns = {"global": 0, "regional": 0}
+        for flips in draws.random((trials, target_idx.size)) < rate:
+            noisy_votes = g.votes.copy()
+            noisy_votes[target_idx[flips]] = 1
+            noisy = g.replace_votes(noisy_votes)
+            for name, w in (("global", tally_global(noisy).winner),
+                            ("regional", tally_regional(noisy, partition).winner)):
+                overturns[name] += w is not None and w != 0
+        for name in replay:
+            replay[name].append(overturns[name])
+    assert tally_global(g).winner == tally_regional(g, partition).winner == 0
+    for name, scheme in (("global", GlobalScheme()), ("regional", RegionalScheme(partition))):
+        curve = salt_pepper_threshold(g, scheme, rates, trials=trials, seed=seed)
+        assert [round(p.overturn_frequency * trials) for p in curve] == replay[name]
+    assert 0 < sum(replay["regional"]) < len(rates) * trials
+
+
+def test_salt_pepper_rejects_rates_outside_unit_interval():
+    g = generate_grid(GridGenSpec(10, 10, 0.6, "uniform_random", seed=18))
+    for rate in (1.5, -0.2, float("nan")):
+        for scheme in (GlobalScheme(), RegionalScheme(Partition.square(5))):
+            with pytest.raises(ValueError, match="rate must lie in"):
+                salt_pepper_threshold(g, scheme, (0.1, rate), trials=10, seed=0)
 
 
 def test_salt_pepper_rejects_best_shift():

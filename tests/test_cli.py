@@ -334,6 +334,9 @@ _MUST_EXIT_2 = [
     ("breakdown", {"grid_mode": "bogus"}),
     ("breakdown", {"search": "greedy", "block_edge": "0"}),
     ("breakdown", {"search": "greedy", "block_edge": "7"}),
+    ("breakdown", {"budget": "-7"}),
+    # 6,400 regions: the exact regional search's table would take 655 MB
+    ("breakdown", {"width": "400", "height": "400", "region_edge": "5", "scheme": "regional"}),
     ("eigen", {"width": "1", "height": "1"}),
     # 2x1 images give constant synthetic patterns (once NaN), and 4 regions do not fit
     ("eigen", {"width": "2", "height": "1"}),
