@@ -19,12 +19,16 @@ A best-shift scheme picks each placement's partition with
 shifting.contaminated_counts, the contamination kernel the sweep uses,
 so the search and the sweep cannot disagree on the chosen shift.
 
+The randomized search places a chunk of trials in lockstep and
+_FastState.outcomes evaluates them together, as the greedy search does
+its prefixes. _FastState.regional_winners, with the nation as one region,
+is the one re-tally of flipped votes for every search.
+
 Grid generation lives here too, with the margin-enforcing mode the
 regional lower bounds are stated for.
 
-All searches are deterministic for a fixed seed; trials run sequentially
-but are independent, so the minimum would be unchanged under any
-execution order.
+All searches are deterministic for a fixed seed; the randomized chunks,
+which share one generator, are sized from the arguments alone.
 """
 
 from __future__ import annotations
@@ -36,15 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from regionvote.bounds import round_half_up
-from regionvote.grid import Grid, GridDims, Partition, _summed_area, enumerate_partitions
-from regionvote.noise import (
-    BlockNoiseSpec,
-    PlacementInfeasibleError,
-    _sample_disjoint_anchors,
-)
+from regionvote.grid import Grid, GridDims, Partition, _axis_segments, _summed_area
+from regionvote.grid import enumerate_partitions
+from regionvote.noise import BlockNoiseSpec, _place_disjoint_blocks, block_capacity
 from regionvote.shifting import best_partition, contaminated_counts
-from regionvote.voting import Winner, plurality_winner, tally_global, tally_regional
-from regionvote.voting import _region_counts, _regions_won, _strict_winners
+from regionvote.voting import Winner, _region_counts, tally_global, tally_regional
 
 
 class InfeasibleMarginError(ValueError):
@@ -212,6 +212,8 @@ class BreakdownResult:
     overturns: int = 0
     skipped_infeasible: int = 0
     skipped_zero_flip: int = 0
+    # randomized best-shift searches: ((dx, dy), trials) for every shift chosen
+    chosen_shifts: tuple[tuple[tuple[int, int], int], ...] | None = None
 
     @property
     def found(self) -> bool:
@@ -227,6 +229,8 @@ class BreakdownResult:
             "overturns": self.overturns,
             "skipped_infeasible": self.skipped_infeasible,
             "skipped_zero_flip": self.skipped_zero_flip,
+            **({} if self.chosen_shifts is None else {
+                "chosen_shifts": [[dx, dy, n] for (dx, dy), n in self.chosen_shifts]}),
         }
 
     def to_json(self) -> str:
@@ -271,14 +275,16 @@ def exhaustive_breakdown(
 
 def _exhaustive_global(grid: Grid, budget: int, target: int, flip_to: int) -> BreakdownResult:
     state = _FastState(grid, target, flip_to)
-    target_cells = np.flatnonzero(grid.votes == target).tolist()
-    budget = min(budget, len(target_cells))
-    for k in range(1, budget + 1):
-        winner = state.global_outcome(k)
-        if winner is not None and winner != target:
-            cells = tuple((i % grid.width, i // grid.width) for i in target_cells[:k])
-            witness = BlockNoiseSpec(1, cells, target, flip_to, 1.0)
-            return BreakdownResult("global", "exhaustive", k, witness)
+    target_cells = np.flatnonzero(grid.votes == target)
+    flips = np.arange(1, min(budget, target_cells.size) + 1, dtype=np.int32)
+    nation = _partitions(GlobalScheme(), state.dims)
+    winners = state.regional_winners(nation, np.zeros(flips.size, dtype=np.intp), flips[:, None])
+    over = np.flatnonzero(_overturned(winners, target))
+    if over.size:
+        picked = target_cells[:over[0] + 1]  # flips[i] is i + 1
+        cells = tuple(zip((picked % grid.width).tolist(), (picked // grid.width).tolist()))
+        witness = BlockNoiseSpec(1, cells, target, flip_to, 1.0)
+        return BreakdownResult("global", "exhaustive", picked.size, witness)
     return BreakdownResult("global", "exhaustive", None, None)
 
 
@@ -297,14 +303,14 @@ def _exhaustive_regional(
             f"exhaustive regional search needs 2 candidates, not {grid.candidate_count}"
         )
     state = _FastState(grid, target, flip_to)
-    counts = state.partition_baseline(partition)[0]
-    n = len(counts)
+    counts = state.region_counts((partition,))[:, 0]
+    n = counts.shape[1]
     if 8 * (n + 1) * (2 * n + 3) > _EXACT_TABLE_CAP_BYTES:
         raise ValueError(
             f"{n} regions need an exhaustive search table over {_EXACT_TABLE_CAP_BYTES >> 20} MiB"
         )
     options = []  # (cost, step in d) of each region's reachable end states, cheapest first
-    for m in (counts[:, target] - counts[:, flip_to]).tolist():
+    for m in (counts[target] - counts[flip_to]).tolist():
         tie = [(m // 2, 0)] if m > 0 and m % 2 == 0 else []
         options.append([(0, -1 if m > 0 else int(m < 0))] + tie + [(m // 2 + 1, 1)] * (m >= 0))
     # entries over n_cells are unreachable
@@ -340,7 +346,8 @@ def _exhaustive_regional(
 
 
 class _FastState:
-    """Summed-area table and per-partition baselines for one grid."""
+    """Summed-area table and per-partition region counts of one grid, and the
+    outcomes of many block placements (trials) at once."""
 
     def __init__(self, grid: Grid, target: int, flip_to: int):
         self.target = target
@@ -348,73 +355,81 @@ class _FastState:
         self.dims: GridDims = (grid.width, grid.height)
         self.candidates = grid.candidate_count
         self.votes = grid.votes
-        self.sat = _summed_area((self.votes == target).reshape(grid.height, grid.width))
-        self.base_counts = np.bincount(self.votes, minlength=self.candidates)
-        self._partition_cache: dict[Partition, tuple] = {}
+        mask = (self.votes == target).reshape(grid.height, grid.width)
+        self.sat = _summed_area(mask).astype(np.int32).ravel()
+        self._counts_cache: dict[tuple[Partition, ...], np.ndarray] = {}
 
-    def block_flips(self, ax: np.ndarray, ay: np.ndarray, edge: int) -> int:
-        s, x1, y1 = self.sat, ax + edge, ay + edge
-        return int((s[y1, x1] - s[ay, x1] - s[y1, ax] + s[ay, ax]).sum())
+    def region_counts(self, partitions: tuple[Partition, ...]) -> np.ndarray:
+        """(candidates, partitions, regions) int32 vote counts, cached."""
+        if partitions not in self._counts_cache:
+            self._counts_cache[partitions] = np.stack([
+                _region_counts(self.votes, p, self.dims, self.candidates).T for p in partitions
+            ], axis=1).astype(np.int32, order="C")
+        return self._counts_cache[partitions]
 
-    def partition_baseline(self, partition: Partition):
-        """(region counts, region winners with -1 for a tie)."""
-        cached = self._partition_cache.get(partition)
-        if cached is None:
-            counts = _region_counts(self.votes, partition, self.dims, self.candidates)
-            cached = (counts, _strict_winners(counts))
-            self._partition_cache[partition] = cached
-        return cached
+    def outcomes(self, scheme: Scheme, trial, ax, ay, edge: int, n: int):
+        """(flips, winners, shifts) of n trials once every target cell under their
+        blocks flips, block i anchored at (ax[i], ay[i]) in trial trial[i], sorted:
+        winners holds -1 for a tie, and shifts[t] indexes trial t's partition in
+        _partitions(scheme). Blocks are cut at region boundaries, one four-corner
+        gather counts the pieces' target cells, one bincount sums them per
+        (trial, region)."""
+        partitions = _partitions(scheme, self.dims)
+        shifts = (self._fewest_contaminated(scheme.region_edge, trial, ax, ay, edge, n)
+                  if isinstance(scheme, BestShiftScheme) else np.zeros(n, dtype=np.intp))
+        (width, height), first, shift = self.dims, partitions[0], shifts[trial]
+        dx, dy = np.array([(p.dx, p.dy) for p in partitions], dtype=np.int32)[shift].T
+        x0, x1, col = _axis_segments(ax, edge, dx, width, first.region_width)
+        y0, y1, row = _axis_segments(ay, edge, dy, height, first.region_height)
+        n_regions = first.region_count(self.dims)
+        regions = (width // first.region_width) * row + n_regions * trial[:, None]
+        regions = regions[:, :, None] + col[:, None, :]
+        s, r0, r1 = self.sat, (width + 1) * y0[:, :, None], (width + 1) * y1[:, :, None]
+        x0, x1 = x0[:, None, :], x1[:, None, :]
+        pieces = s[r1 + x1] - s[r0 + x1] - s[r1 + x0] + s[r0 + x0]
+        flipped = np.bincount(regions.ravel(), pieces.ravel(), minlength=n * n_regions)
+        flipped = flipped.astype(np.int32).reshape(n, n_regions)
+        winners = self.regional_winners(partitions, shifts, flipped)
+        return flipped.sum(axis=1, dtype=np.int64), winners, shifts
 
-    def block_outcome(
-        self, partition: Partition, ax: np.ndarray, ay: np.ndarray, edge: int
-    ) -> Winner:
-        """Regional winner once every target cell under the blocks flips.
+    def _fewest_contaminated(self, region_edge, trial, ax, ay, edge, n) -> np.ndarray:
+        """Each trial's shift touching the fewest regions, as shifting.best_partition
+        picks it, counted in sub-batches of trials under _SUB_BATCH_BYTES."""
+        per_trial = 8 * region_edge**2 * ((edge - 2) // region_edge + 2) ** 2
+        step = max(1, _SUB_BATCH_BYTES // (per_trial * max(1, -(-trial.size // max(n, 1)))))
+        cuts = np.searchsorted(trial, np.arange(0, n + step, step))
+        return np.concatenate([np.zeros(0, dtype=np.intp)] + [
+            contaminated_counts(
+                self.dims, region_edge, ax[lo:hi], ay[lo:hi], edge,
+                trial[lo:hi] - start, min(step, n - start),
+            ).argmin(axis=1)
+            for start, lo, hi in zip(range(0, n, step), cuts, cuts[1:])
+        ])
 
-        Each block is cut at region boundaries on both axes, and the pieces'
-        target counts come from the summed-area table and are summed per
-        region.
-        """
-        x0, x1, y0, y1, regions = partition.block_pieces(self.dims, ax, ay, edge)
-        s = self.sat
-        pieces = s[y1, x1] - s[y0, x1] - s[y1, x0] + s[y0, x0]
-        flips = np.bincount(regions.ravel(), pieces.ravel()).astype(np.int64)
-        return self.regional_outcome(partition, flips)
+    def regional_winners(self, partitions, shifts, flips) -> np.ndarray:
+        """Winner, -1 for a tie, of each trial t once flips[t, r] target votes of
+        region r flip under partitions[shifts[t]]: the one re-tally of flipped
+        region counts. Strict plurality in each region, then of regions won."""
+        counts = self.region_counts(partitions)[:, shifts]
+        counts[self.target] -= flips
+        counts[self.flip_to] += flips
+        lead = counts == counts.max(axis=0)
+        won = (lead & (lead.sum(axis=0, dtype=np.int32) == 1)).sum(axis=2)
+        top = won == won.max(axis=0)
+        return np.where(top.sum(axis=0) == 1, top.argmax(axis=0), -1)
 
-    def regional_outcome(self, partition: Partition, flips: np.ndarray) -> Winner:
-        """Regional winner once flips[r] target votes of region r flip; flips is
-        an int array that may end at the last touched region. Only the touched
-        regions are re-tallied."""
-        counts, winners = self.partition_baseline(partition)
-        touched = np.flatnonzero(flips)
-        f = flips[touched]
-        adjusted = counts[touched]
-        adjusted[:, self.target] -= f
-        adjusted[:, self.flip_to] += f
-        winners = winners.copy()
-        winners[touched] = _strict_winners(adjusted)
-        return plurality_winner(_regions_won(winners, self.candidates).tolist())
 
-    def global_outcome(self, total_flips: int) -> Winner:
-        adjusted = self.base_counts.copy()
-        adjusted[self.target] -= total_flips
-        adjusted[self.flip_to] += total_flips
-        return plurality_winner(adjusted.tolist())
+def _partitions(scheme: Scheme, dims: GridDims) -> tuple[Partition, ...]:
+    """The partitions a scheme tallies under; the nation is one region."""
+    if isinstance(scheme, GlobalScheme):
+        return (Partition(*dims),)
+    if isinstance(scheme, RegionalScheme):
+        return (scheme.partition,)
+    return enumerate_partitions(scheme.region_edge)
 
-    def scheme_outcome(
-        self, scheme: Scheme, ax: np.ndarray, ay: np.ndarray, edge: int, flips: int
-    ) -> Winner:
-        """The scheme's winner once the blocks, holding flips target cells, flip."""
-        if isinstance(scheme, GlobalScheme):
-            return self.global_outcome(flips)
-        if isinstance(scheme, RegionalScheme):
-            return self.block_outcome(scheme.partition, ax, ay, edge)
-        chosen = self.best_shift(scheme.region_edge, ax, ay, edge)
-        return self.block_outcome(chosen, ax, ay, edge)
 
-    def best_shift(self, region_edge: int, ax: np.ndarray, ay: np.ndarray, edge: int) -> Partition:
-        """The shift touching the fewest regions, as shifting.best_partition picks it."""
-        counts = contaminated_counts(self.dims, region_edge, ax, ay, edge)
-        return Partition.square(region_edge, *divmod(int(np.argmin(counts)), region_edge))
+def _overturned(winners: np.ndarray, target: int) -> np.ndarray:
+    return (winners >= 0) & (winners != target)
 
 
 def _check_block_edge(grid: Grid, block_edge: int) -> None:
@@ -423,6 +438,12 @@ def _check_block_edge(grid: Grid, block_edge: int) -> None:
             f"block_edge must lie in [1, {min(grid.width, grid.height)}] "
             f"for a {grid.width}x{grid.height} grid"
         )
+
+
+# Bytes of the largest array of a chunk of randomized trials (blocked mask, pieces or
+# region counts), and, near cache size, of a chooser or dispersed re-tally sub-batch.
+_TRIAL_CHUNK_BYTES = 1 << 22
+_SUB_BATCH_BYTES = 1 << 19
 
 
 def randomized_breakdown(
@@ -442,9 +463,10 @@ def randomized_breakdown(
     target cell under them, and records the flip count whenever the
     scheme's winner changes. The result is an upper bound on the true
     breakdown. Trials whose placement cannot be completed, or whose blocks
-    cover no target cell, are skipped and counted in the result. A
-    negative trial count or a block edge the grid cannot hold is refused
-    before the first trial.
+    cover no target cell, are skipped and counted in the result. Trials run
+    in chunks, placed in lockstep and evaluated together. A negative trial
+    count, a block edge the grid cannot hold, or a lower block count above
+    the grid's capacity is refused before the first trial.
     """
     lo, hi = block_counts
     if not (1 <= lo <= hi):
@@ -452,39 +474,50 @@ def randomized_breakdown(
     if trials < 0:
         raise ValueError("trials must be non-negative")
     _check_block_edge(grid, block_edge)
+    capacity = block_capacity((grid.width, grid.height), block_edge)
+    if lo > capacity:
+        raise ValueError(
+            f"block_counts lo {lo} exceeds the {capacity} disjoint "
+            f"{block_edge}x{block_edge} blocks a {grid.width}x{grid.height} grid holds"
+        )
     base_winner = scheme_winner(grid, scheme, BlockNoiseSpec(block_edge, (), target, flip_to))
     if base_winner != target:
         raise ValueError(f"grid winner is {base_winner}, expected target {target}")
     state = _FastState(grid, target, flip_to)
-    if isinstance(scheme, BestShiftScheme):
-        for p in enumerate_partitions(scheme.region_edge):
-            state.partition_baseline(p)
     rng = np.random.default_rng(seed)
-
-    best_flips: int | None = None
-    best_witness: BlockNoiseSpec | None = None
-    overturns = skipped_infeasible = skipped_zero_flip = 0
-    for _ in range(trials):
-        count = int(rng.integers(lo, hi + 1))
-        try:
-            ax, ay = _sample_disjoint_anchors(rng, state.dims, block_edge, count)
-        except PlacementInfeasibleError:
-            skipped_infeasible += 1
-            continue
-        flips = state.block_flips(ax, ay, block_edge)
-        if flips == 0:
-            skipped_zero_flip += 1
-            continue
-        winner = state.scheme_outcome(scheme, ax, ay, block_edge, flips)
-        if winner is not None and winner != target:
-            overturns += 1
-            if best_flips is None or flips < best_flips:
-                best_flips = flips
-                anchors = tuple(zip(ax.tolist(), ay.tolist()))
-                best_witness = BlockNoiseSpec(block_edge, anchors, target, flip_to, 1.0)
+    partitions = _partitions(scheme, state.dims)
+    rw, rh = partitions[0].region_width, partitions[0].region_height
+    pieces = ((block_edge - 2) // rw + 2) * ((block_edge - 2) // rh + 2)
+    most = max(1, _TRIAL_CHUNK_BYTES // max(  # a trial's blocked mask, pieces, region counts
+        (grid.width + block_edge) * (grid.height + block_edge),
+        8 * min(hi, capacity) * pieces, 4 * state.candidates * grid.n_cells // (rw * rh)))
+    chunk = -(-trials // -(-trials // most)) if trials else 1  # even chunks of at most `most`
+    best, overturns, skipped_infeasible, skipped_zero_flip, chosen = None, 0, 0, 0, 0
+    for start in range(0, trials, chunk):
+        counts = rng.integers(lo, hi + 1, size=min(chunk, trials - start))
+        ax, ay, placed = _place_disjoint_blocks(rng, state.dims, block_edge, counts)
+        feasible = placed == counts
+        trial, slot = np.nonzero(np.arange(ax.shape[1]) < np.where(feasible, placed, 0)[:, None])
+        flips, winners, shifts = state.outcomes(
+            scheme, trial, ax[trial, slot], ay[trial, slot], block_edge, counts.size
+        )
+        evaluated = flips > 0
+        skipped_infeasible += int(counts.size - feasible.sum())
+        skipped_zero_flip += int((feasible & ~evaluated).sum())
+        chosen += np.bincount(shifts[evaluated], minlength=len(partitions))
+        over = np.flatnonzero(evaluated & _overturned(winners, target))
+        overturns += over.size
+        if over.size:
+            t = over[np.argmin(flips[over])]  # the first of the cheapest
+            if best is None or flips[t] < best[0]:
+                blocks = slice(0, counts[t])
+                best = (int(flips[t]), tuple(zip(ax[t, blocks].tolist(), ay[t, blocks].tolist())))
+    witness = None if best is None else BlockNoiseSpec(block_edge, best[1], target, flip_to, 1.0)
+    histogram = tuple(((p.dx, p.dy), n) for p, n in zip(partitions, np.ravel(chosen).tolist()) if n)
     return BreakdownResult(
-        scheme_label(scheme), "randomized", best_flips, best_witness, trials, overturns,
-        skipped_infeasible, skipped_zero_flip,
+        scheme_label(scheme), "randomized", None if best is None else best[0], witness, trials,
+        overturns, skipped_infeasible, skipped_zero_flip,
+        histogram if isinstance(scheme, BestShiftScheme) else None,
     )
 
 
@@ -503,23 +536,17 @@ def greedy_block_breakdown(
     _check_block_edge(grid, block_edge)
     state = _FastState(grid, target, flip_to)
     width, height = state.dims
-    xs: list[int] = []
-    ys: list[int] = []
-    for ay in range(0, height - block_edge + 1, block_edge):
-        for ax in range(0, width - block_edge + 1, block_edge):
-            xs.append(ax)
-            ys.append(ay)
-            ax_arr, ay_arr = np.array(xs), np.array(ys)
-            flips = state.block_flips(ax_arr, ay_arr, block_edge)
-            if flips == 0:
-                continue
-            winner = state.scheme_outcome(scheme, ax_arr, ay_arr, block_edge, flips)
-            if winner is not None and winner != target:
-                witness = BlockNoiseSpec(block_edge, tuple(zip(xs, ys)), target, flip_to, 1.0)
-                return BreakdownResult(
-                    scheme_label(scheme), "greedy", flips, witness, len(xs), 1
-                )
-    return BreakdownResult(scheme_label(scheme), "greedy", None, None, len(xs), 0)
+    ys, xs = np.mgrid[0:height - block_edge + 1:block_edge, 0:width - block_edge + 1:block_edge]
+    xs, ys = xs.ravel(), ys.ravel()
+    for k in range(1, xs.size + 1):
+        flips, winners, _ = state.outcomes(
+            scheme, np.zeros(k, dtype=np.intp), xs[:k], ys[:k], block_edge, 1
+        )
+        if flips[0] > 0 and _overturned(winners, target)[0]:
+            anchors = tuple(zip(xs[:k].tolist(), ys[:k].tolist()))
+            witness = BlockNoiseSpec(block_edge, anchors, target, flip_to, 1.0)
+            return BreakdownResult(scheme_label(scheme), "greedy", int(flips[0]), witness, k, 1)
+    return BreakdownResult(scheme_label(scheme), "greedy", None, None, int(xs.size), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -575,24 +602,27 @@ def salt_pepper_threshold(
     state = _FastState(grid, target, flip_to)
     target_idx = np.flatnonzero(state.votes == target)
     n_t = target_idx.size
-    if isinstance(scheme, RegionalScheme):
-        region_idx = scheme.partition.labels(state.dims)[target_idx]
+    partitions = _partitions(scheme, state.dims)
+    region_idx = partitions[0].labels(state.dims)[target_idx]
+    n_regions = partitions[0].region_count(state.dims)
     rng = np.random.default_rng(seed)
-    chunk = max(1, _SALT_PEPPER_CHUNK_DRAWS // max(n_t, 1))
+    chunk = max(1, min(  # rows of draws, and of region counts to re-tally
+        _SALT_PEPPER_CHUNK_DRAWS // max(n_t, 1),
+        _SUB_BATCH_BYTES // (4 * grid.candidate_count * n_regions),
+    ))
     points = []
     for rate in rates:
         overturns = 0
         for start in range(0, trials, chunk):
             # consecutive row chunks of rng.random equal one trials x n_t draw
             flips_mat = rng.random((min(chunk, trials - start), n_t)) < rate
-            if isinstance(scheme, GlobalScheme):
-                winners = [state.global_outcome(int(f)) for f in flips_mat.sum(axis=1)]
+            if n_regions == 1:
+                flipped = flips_mat.sum(axis=1, dtype=np.int32)[:, None]
             else:
-                winners = [
-                    state.regional_outcome(scheme.partition, np.bincount(region_idx[flips]))
-                    for flips in flips_mat
-                ]
-            overturns += sum(w is not None and w != target for w in winners)
+                flipped = np.array([np.bincount(region_idx[f], minlength=n_regions)
+                                    for f in flips_mat])
+            winners = state.regional_winners(partitions, np.zeros(len(flipped), np.intp), flipped)
+            overturns += int(_overturned(winners, target).sum())
         freq = overturns / trials
         lo, hi = _wilson_interval(overturns, trials)
         points.append(ThresholdPoint(float(rate), freq, lo, hi))

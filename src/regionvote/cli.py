@@ -259,9 +259,6 @@ class SweepConfig:
         _check_geometry(self.width, self.height, self.block_edge, (partition,))
         if self.blocks < 1 and not self.anchors:
             raise ValueError("need a positive block count or explicit anchors")
-        # Refused before placement, whose candidate batches grow with blocks.
-        if self.blocks * self.block_edge**2 > self.width * self.height and not self.anchors:
-            raise ValueError(f"{self.blocks} disjoint blocks cannot fit in the grid")
 
 
 @dataclass(frozen=True)
@@ -716,6 +713,8 @@ def cmd_breakdown(cfg: BreakdownConfig, out_dir: pathlib.Path, fmt: str) -> int:
         body += f"trials,{result.trials}\noverturns,{result.overturns}\n"
         body += f"skipped_infeasible,{result.skipped_infeasible}\n"
         body += f"skipped_zero_flip,{result.skipped_zero_flip}\n"
+        for (dx, dy), n in result.chosen_shifts or ():
+            body += f"chosen_shift_{dx}_{dy},{n}\n"
     else:
         body = f"config: {_echo_json(echo)}\n\n"
         body += f"grid {cfg.width}x{cfg.height}, counts {counts[0]}/{counts[1]}\n"
@@ -729,6 +728,9 @@ def cmd_breakdown(cfg: BreakdownConfig, out_dir: pathlib.Path, fmt: str) -> int:
                 f"trials {result.trials}, overturns {result.overturns}, skipped"
                 f" {result.skipped_infeasible} infeasible, {result.skipped_zero_flip} zero-flip\n"
             )
+        if result.chosen_shifts is not None:
+            shifts = ", ".join(f"({dx},{dy}): {n}" for (dx, dy), n in result.chosen_shifts)
+            body += f"chosen shifts (dx,dy: trials): {shifts}\n"
     _write(out_dir, f"breakdown.{fmt}", body)
     if result.min_flips is None:
         print("breakdown: no overturn found")

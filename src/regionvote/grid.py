@@ -218,16 +218,6 @@ class Partition:
         labels.flags.writeable = False
         return labels
 
-    def block_pieces(self, dims: GridDims, ax: np.ndarray, ay: np.ndarray, edge: int):
-        """Cut in-bounds square blocks at region boundaries on both axes:
-        x0, x1 (blocks, 1, Kx), y0, y1 (blocks, Ky, 1) and the pieces' region
-        indices (blocks, Ky, Kx). Pieces past a block's end are empty."""
-        width, height = dims
-        x0, x1, col = _axis_segments(ax, edge, self.dx, width, self.region_width)
-        y0, y1, row = _axis_segments(ay, edge, self.dy, height, self.region_height)
-        regions = col[:, None, :] + (width // self.region_width) * row[:, :, None]
-        return x0[:, None, :], x1[:, None, :], y0[:, :, None], y1[:, :, None], regions
-
 
 def _axis_regions(
     anchors: np.ndarray, extent: int, shift: int | np.ndarray, axis_cells: int, region_edge: int
@@ -237,12 +227,12 @@ def _axis_regions(
     Piece j holds the cell at offset min(j * region_edge, extent - 1) from the
     block's first cell, so a piece past the block's end repeats the last
     piece's region. anchors and shift broadcast against each other."""
-    offsets = [*range(0, extent - 1, region_edge), extent - 1]
+    offsets = np.array([*range(0, extent - 1, region_edge), extent - 1], dtype=np.int32)
     return np.add.outer(offsets, anchors + shift) % axis_cells // region_edge
 
 
 def _axis_segments(
-    anchors: np.ndarray, extent: int, shift: int, axis_cells: int, region_edge: int
+    anchors: np.ndarray, extent: int, shift: int | np.ndarray, axis_cells: int, region_edge: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cut block extents at region boundaries: (start, stop, region), each
     (blocks, K), regions as _axis_regions names them; pieces past a block's
@@ -250,7 +240,8 @@ def _axis_segments(
     regions = _axis_regions(anchors, extent, shift, axis_cells, region_edge).T
     stop = (anchors + extent)[:, None]
     room = region_edge - (anchors + shift) % region_edge
-    cuts = (anchors + room)[:, None] + region_edge * np.arange(regions.shape[1] - 1)
+    steps = np.arange(regions.shape[1] - 1, dtype=np.int32)
+    cuts = (anchors + room)[:, None] + region_edge * steps
     bounds = np.minimum(np.concatenate([anchors[:, None], cuts, stop], axis=1), stop)
     return bounds[:, :-1], bounds[:, 1:], regions
 

@@ -63,23 +63,24 @@ class BlockNoiseSpec:
         self._check_disjoint()
 
     def _check_disjoint(self) -> None:
-        """Raise on the first overlapping pair (i, j > i) in loop order: overlap
-        is symmetric, so it is the first row's first hit off the diagonal.
-        Rows go in chunks of about a million pairs."""
-        n, edge = len(self.anchors), self.block_edge
-        if n < 2:
-            return
-        x, y = np.array(self.anchors, dtype=np.int64).reshape(n, 2).T
-        step = max(1, (1 << 20) // n)
-        for i0 in range(0, n, step):
-            i1 = min(n, i0 + step)
-            near = np.abs(x[i0:i1, None] - x) < edge
-            near &= np.abs(y[i0:i1, None] - y) < edge
-            near[np.arange(i1 - i0), np.arange(i0, i1)] = False
-            if near.any():
-                i, j = np.argwhere(near)[0].tolist()
-                (ax, ay), (bx, by) = self.anchors[i0 + i], self.anchors[j]
-                raise BlockOverlapError(f"blocks at ({ax}, {ay}) and ({bx}, {by}) overlap")
+        """Raise on the first overlapping pair (i, j > i) in loop order, in O(n):
+        overlapping blocks have anchors in equal or adjacent edge-sized buckets,
+        and anchors sharing a bucket overlap, so every row before the first hit
+        has a bucket of its own and each bucket is scanned at most nine times."""
+        edge, anchors = self.block_edge, self.anchors
+        buckets: dict[Cell, list[int]] = {}
+        for j, (x, y) in enumerate(anchors):
+            buckets.setdefault((x // edge, y // edge), []).append(j)
+        for i, (x, y) in enumerate(anchors):
+            bx, by = x // edge, y // edge
+            near = [
+                j for cx in (bx - 1, bx, bx + 1) for cy in (by - 1, by, by + 1)
+                for j in buckets.get((cx, cy), ())
+                if j > i and abs(anchors[j][0] - x) < edge and abs(anchors[j][1] - y) < edge
+            ]
+            if near:
+                ox, oy = anchors[min(near)]
+                raise BlockOverlapError(f"blocks at ({x}, {y}) and ({ox}, {oy}) overlap")
 
     def cells(self):
         """All block cells, block by block in anchor order, row-major inside."""
@@ -256,81 +257,91 @@ def random_anchor_placement(
 
     Anchors are drawn uniformly over the valid anchor lattice and
     rejected on overlap with already accepted blocks. Raises
-    PlacementInfeasibleError once a block exhausts its retry budget.
+    PlacementInfeasibleError once a block exhausts its retry budget, and
+    at once for more blocks than the grid can hold.
     """
     rng = np.random.default_rng(seed)
     ax, ay = _sample_disjoint_anchors(rng, dims, block_edge, block_count, max_tries_per_block)
-    return BlockNoiseSpec(
-        block_edge=block_edge,
-        anchors=tuple(zip(ax.tolist(), ay.tolist())),
-        target=target,
-        flip_to=flip_to,
-        flip_probability=flip_probability,
-        seed=seed,
-    )
+    anchors = tuple(zip(ax.tolist(), ay.tolist()))
+    return BlockNoiseSpec(block_edge, anchors, target, flip_to, flip_probability, seed)
 
 
 def _sample_disjoint_anchors(
-    rng: np.random.Generator,
-    dims: GridDims,
-    block_edge: int,
-    block_count: int,
+    rng: np.random.Generator, dims: GridDims, block_edge: int, block_count: int,
     max_tries_per_block: int = 200,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Random sequential adsorption of disjoint blocks: anchor x and y arrays.
-
-    Candidates are iid uniform flat indices over the anchor lattice. They
-    are offered in draw order: each is accepted unless it overlaps a block
-    accepted before it, and PlacementInfeasibleError is raised once a
-    block has seen max_tries_per_block candidates without an acceptance.
-    That is the one-candidate-at-a-time law; only the draws are batched.
-    A batch holds twice the blocks still to place plus the tries the
-    current block has used, so a crowded lattice reaches the budget in a
-    few draws. Blocking only grows, so a candidate already blocked when
-    its batch is drawn is rejected without a Python step.
-    """
-    width, height = dims
-    ax_max = width - block_edge + 1
-    ay_max = height - block_edge + 1
-    if ax_max <= 0 or ay_max <= 0:
+    """One trial of _place_disjoint_blocks: anchor x and y arrays, or
+    PlacementInfeasibleError."""
+    x, y, placed = _place_disjoint_blocks(
+        rng, dims, block_edge, np.array([block_count]), max_tries_per_block
+    )
+    if placed[0] < block_count:
         raise PlacementInfeasibleError(
-            f"block edge {block_edge} exceeds grid {width}x{height}"
+            f"could not place {block_count} blocks after {max_tries_per_block} tries per block"
+            f" (a {dims[0]}x{dims[1]} grid holds at most {block_capacity(dims, block_edge)}"
+            f" disjoint {block_edge}x{block_edge} blocks)"
         )
-    # blocked[ay, ax] marks anchors that would overlap an accepted block;
-    # it is a view into a padded mask so a block's window needs no clipping.
+    return x[0], y[0]
+
+
+def block_capacity(dims: GridDims, block_edge: int) -> int:
+    """Most disjoint block_edge squares a grid holds: each covers exactly one
+    cell whose coordinates are both -1 mod block_edge."""
+    return (dims[0] // block_edge) * (dims[1] // block_edge)
+
+
+def _place_disjoint_blocks(
+    rng: np.random.Generator, dims: GridDims, block_edge: int, counts: np.ndarray,
+    max_tries_per_block: int = 200,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random sequential adsorption for many trials in lockstep: anchor x and
+    y arrays (trials, min(max(counts), capacity)) in acceptance order, and
+    the blocks placed per trial (counts[t] when trial t succeeded).
+
+    Each round, every unfinished trial draws a few iid uniform candidates
+    from rng and accepts the first one its row of one (trials x padded
+    lattice) blocked mask leaves free; the rest are discarded, so each trial
+    keeps the one-candidate-at-a-time law. A trial stops once a block has
+    seen max_tries_per_block candidates, which the draws per round divide,
+    and a count above block_capacity stops it before any draw.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    n_x, n_y = dims[0] - block_edge + 1, dims[1] - block_edge + 1
+    k = int(min(counts.max(initial=0), block_capacity(dims, block_edge)))
+    anchors = np.zeros((counts.size, k), dtype=np.int32)
+    placed = np.zeros(counts.size, dtype=np.int64)
+    active = np.flatnonzero((counts > 0) & (counts <= k))
+    # blocked[t, pad + y, pad + x] marks anchors (x, y) that would overlap an
+    # accepted block of trial t; the padding spares a block's window clipping.
     pad = block_edge - 1
-    window = 2 * block_edge - 1
-    padded = np.zeros((ay_max + 2 * pad, ax_max + 2 * pad), dtype=bool)
-    blocked = padded[pad : pad + ay_max, pad : pad + ax_max]
-    accepted: list[int] = []
-    tries = 0  # candidates the current block saw in earlier batches
-    while len(accepted) < block_count:
-        size = 2 * (block_count - len(accepted)) + tries
-        ys, xs = np.divmod(rng.integers(0, ax_max * ay_max, size=size), ax_max)
-        xl, yl = xs.tolist(), ys.tolist()
-        start = 0  # the current block's first candidate in this batch
-        for i in np.flatnonzero(~blocked[ys, xs]).tolist():
-            if tries + i - start >= max_tries_per_block:
-                break
-            x, y = xl[i], yl[i]
-            if blocked[y, x]:
-                continue
-            accepted.append(y * ax_max + x)
-            padded[y : y + window, x : x + window] = True
-            tries, start = 0, i + 1
-            if len(accepted) == block_count:
-                break
-        else:
-            tries += size - start
-            if tries < max_tries_per_block:
-                continue
-        if len(accepted) < block_count:
-            raise PlacementInfeasibleError(
-                f"could not place block {len(accepted) + 1} of {block_count} "
-                f"after {max_tries_per_block} tries"
+    row = n_x + 2 * pad
+    plane = row * (n_y + 2 * pad)
+    blocked = np.zeros(active.size * plane, dtype=bool)
+    side = np.arange(-pad, pad + 1)
+    window = (side[:, None] * row + side).ravel()
+    draws = max(d for d in range(1, 9) if max_tries_per_block % d == 0)  # per trial and round
+    # per unfinished trial: mask offset of anchor (0, 0), blocks placed and wanted, tries
+    origin = np.arange(active.size) * plane + pad * row + pad
+    done, wanted, tries = placed[active], counts[active], np.zeros(active.size, dtype=np.int64)
+    while active.size:
+        cand = rng.integers(0, n_x * n_y, size=(active.size, draws))
+        at = origin[:, None] + cand + cand // n_x * (2 * pad)
+        taken = blocked[at]
+        first = taken.argmin(axis=1)
+        hit = ~taken.all(axis=1)
+        pick = first[hit]
+        anchors[active[hit], done[hit]] = cand[hit, pick]
+        blocked[at[hit, pick][:, None] + window] = True
+        done += hit
+        tries += draws
+        tries[hit] = 0
+        going = (done < wanted) & (tries < max_tries_per_block)
+        if not going.all():
+            placed[active] = done
+            active, origin, done, wanted, tries = (
+                a[going] for a in (active, origin, done, wanted, tries)
             )
-    flat = np.array(accepted, dtype=np.int64)
-    return flat % ax_max, flat // ax_max
+    return anchors % n_x, anchors // n_x, placed
 
 
 def orthomeasure(area: NoiseArea) -> int:

@@ -10,14 +10,14 @@ regionvote.bounds.
 One kernel, touched_regions, says which regions every block touches
 under a whole vector of shifts at once, for any block edge, from the
 region lattice arithmetic alone. A single partition's contaminated set,
-the sweep over all shifts, the best shift and the randomized search's
-per-trial chooser (regionvote.breakdown) all go through it, so a sweep
-costs O(shifts * blocks * K^2), with K pieces per block and axis, and
-scans no cells. It names each piece's region with grid._axis_regions,
-the formula Partition.block_pieces sums a block's flips by, so the
-regions a block touches and the regions it flips votes in are counted
-alike. The brute-force cell scan lives in the tests as the independent
-oracle.
+the sweep over all shifts, the best shift and the block searches'
+chooser, which counts many trials at once (regionvote.breakdown), all go
+through it, so a sweep costs O(shifts * blocks * K^2), with K pieces per
+block and axis, and scans no cells. It names each piece's region with
+grid._axis_regions, the formula the block searches sum a block's flips
+by, so the regions a block touches and the regions it flips votes in are
+counted alike. The brute-force cell scan lives in the tests as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -66,16 +66,22 @@ def touched_regions(
 
 
 def contaminated_counts(
-    dims: GridDims, region_edge: int, ax: np.ndarray, ay: np.ndarray, block_edge: int
+    dims: GridDims, region_edge: int, ax: np.ndarray, ay: np.ndarray, block_edge: int,
+    trial: np.ndarray | None = None, n_trials: int = 1,
 ) -> np.ndarray:
-    """Contaminated-region count of every shift of the square partition,
-    in enumerate_partitions order (dx outer)."""
-    dx, dy = divmod(np.arange(region_edge * region_edge), region_edge)
+    """Contaminated-region count of every shift of the square partition, in
+    enumerate_partitions order (dx outer): (shifts,), or (n_trials, shifts)
+    when block i belongs to trial trial[i]."""
+    dx, dy = divmod(np.arange(region_edge * region_edge, dtype=np.int32), region_edge)
     ids = touched_regions(dims, region_edge, region_edge, dx, dy, ax, ay, block_edge)
     n_regions = (dims[0] // region_edge) * (dims[1] // region_edge)
-    hit = np.zeros((dx.size, n_regions), dtype=bool)
-    hit.ravel()[ids + n_regions * np.arange(dx.size)[:, None]] = True
-    return hit.sum(axis=1)
+    rows = np.arange(dx.size)[:, None]  # of an (n_trials * shifts, regions) hit table
+    if trial is not None:
+        rows = rows + dx.size * np.tile(trial, ids.shape[1] // max(trial.size, 1))
+    hit = np.zeros((n_trials, dx.size, n_regions), dtype=bool)
+    hit.ravel()[ids + n_regions * rows] = True
+    counts = hit.sum(axis=2, dtype=np.int32)
+    return counts if trial is not None else counts[0]
 
 
 def _anchor_arrays(spec: BlockNoiseSpec) -> np.ndarray:

@@ -1,12 +1,13 @@
-"""Vectorized block-flip accounting against the per-block reference.
+"""Batched block-flip accounting against the per-block reference.
 
-The reference is the slow path the randomized search used per trial: cut
-each block at region boundaries one run at a time (axis_split), read each
-piece's target count from the summed-area table (rect_target_count), and
-re-tally every touched region with plurality_winner. Its baselines come
-from region_of, cell by cell. The fast path must agree with it and with a
-full tally of the noisy grid, and the best-shift chooser must pick the
-shift that a cell scan of every block finds touching the fewest regions.
+The reference is the slow path the randomized search once used per trial:
+cut each block at region boundaries one run at a time (axis_split), read
+each piece's target count from the summed-area table (rect_target_count),
+and re-tally every touched region with plurality_winner. Its baselines come
+from region_of, cell by cell. The batched evaluator, _FastState.outcomes,
+must agree with it and with a full tally of the noisy grid for every trial
+of a batch, and its best-shift chooser must pick the shift that a cell scan
+of every block finds touching the fewest regions.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cell_oracles import region_of, scan_contaminated
-from regionvote.breakdown import _FastState
+from regionvote.breakdown import BestShiftScheme, GlobalScheme, RegionalScheme, _FastState
 from regionvote.grid import Grid, Partition, enumerate_partitions
 from regionvote.noise import (
     BlockNoiseSpec,
@@ -23,7 +24,8 @@ from regionvote.noise import (
     apply_block_noise,
     random_anchor_placement,
 )
-from regionvote.voting import plurality_winner, tally_regional
+from regionvote.shifting import best_partition
+from regionvote.voting import plurality_winner, tally_global, tally_regional
 
 
 def axis_split(anchor, extent, shift, axis_cells, region_edge):
@@ -81,17 +83,25 @@ def reference_outcome(grid, partition, anchors, edge, target, flip_to):
     return plurality_winner(won)
 
 
+def batched(state, scheme, specs, edge):
+    """state.outcomes with one trial per spec, winners as Winner values."""
+    trial = np.repeat(np.arange(len(specs)), [len(spec.anchors) for spec in specs])
+    anchors = np.array([a for spec in specs for a in spec.anchors], dtype=np.int64).reshape(-1, 2)
+    flips, winners, shifts = state.outcomes(
+        scheme, trial, anchors[:, 0], anchors[:, 1], edge, len(specs)
+    )
+    return flips.tolist(), [None if w < 0 else w for w in winners.tolist()], shifts
+
+
 def check_agreement(grid, partition, spec):
     state = _FastState(grid, spec.target, spec.flip_to)
-    ax = np.array([a[0] for a in spec.anchors], dtype=np.int64)
-    ay = np.array([a[1] for a in spec.anchors], dtype=np.int64)
-    fast = state.block_outcome(partition, ax, ay, spec.block_edge)
+    flips, winners, _ = batched(state, RegionalScheme(partition), [spec], spec.block_edge)
     slow = reference_outcome(
         grid, partition, spec.anchors, spec.block_edge, spec.target, spec.flip_to
     )
     noisy, report = apply_block_noise(grid, spec)
-    assert fast == slow == tally_regional(noisy, partition).winner
-    assert state.block_flips(ax, ay, spec.block_edge) == report.flipped_cells
+    assert winners[0] == slow == tally_regional(noisy, partition).winner
+    assert flips[0] == report.flipped_cells
 
 
 def random_grid(rng, width, height, candidates):
@@ -151,8 +161,60 @@ def test_best_shift_matches_cell_scan(seed, region_edge, blocks):
     except PlacementInfeasibleError:
         assume(False)
     state = _FastState(random_grid(rng, *dims, 2), 0, 1)
-    ax = np.array([a[0] for a in spec.anchors], dtype=np.int64)
-    ay = np.array([a[1] for a in spec.anchors], dtype=np.int64)
+    _, _, shifts = batched(state, BestShiftScheme(region_edge), [spec], edge)
     partitions = enumerate_partitions(region_edge)
     scans = [len(scan_contaminated(dims, p, spec)) for p in partitions]
-    assert state.best_shift(region_edge, ax, ay, edge) == partitions[scans.index(min(scans))]
+    assert partitions[shifts[0]] == partitions[scans.index(min(scans))]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rw=st.integers(1, 5),
+    rh=st.integers(1, 5),
+    cols=st.integers(1, 4),
+    rows=st.integers(1, 4),
+    candidates=st.integers(2, 3),
+    edge=st.integers(1, 7),
+    trials=st.integers(1, 12),
+)
+@settings(max_examples=120, deadline=None)
+def test_batched_outcomes_match_noisy_tallies(seed, rw, rh, cols, rows, candidates, edge, trials):
+    """Every trial of one batch, under each scheme, against apply_block_noise
+    and a full tally: square, rectangular and shifted partitions, block edges
+    below, at and above the region edges, and trials with no blocks or with
+    blocks over rival cells only (zero flips)."""
+    width, height = rw * cols, rh * rows
+    assume(edge <= min(width, height))
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng, width, height, candidates)
+    if rng.random() < 0.3:  # sparse target votes, so some blocks flip nothing
+        grid = grid.replace_votes(np.where(rng.random(grid.n_cells) < 0.8, 1, grid.votes))
+    target = int(rng.integers(candidates))
+    flip_to = (target + 1 + int(rng.integers(candidates - 1))) % candidates
+    specs = []
+    for t in range(trials):
+        try:
+            placed = random_anchor_placement(
+                (width, height), edge, int(rng.integers(0, 4)), seed=seed + t
+            )
+        except PlacementInfeasibleError:
+            placed = BlockNoiseSpec(edge, (), target, flip_to)
+        specs.append(BlockNoiseSpec(edge, placed.anchors, target, flip_to))
+    partition = Partition(rw, rh, int(rng.integers(rw)), int(rng.integers(rh)))
+    schemes = [GlobalScheme(), RegionalScheme(partition)]
+    if rw == rh:
+        schemes.append(BestShiftScheme(rw))
+    state = _FastState(grid, target, flip_to)
+    for scheme in schemes:
+        flips, winners, shifts = batched(state, scheme, specs, edge)
+        for t, spec in enumerate(specs):
+            noisy, report = apply_block_noise(grid, spec)
+            assert flips[t] == report.flipped_cells
+            if isinstance(scheme, GlobalScheme):
+                assert shifts[t] == 0 and winners[t] == tally_global(noisy).winner
+            elif isinstance(scheme, RegionalScheme):
+                assert shifts[t] == 0 and winners[t] == tally_regional(noisy, partition).winner
+            else:
+                chosen = best_partition((width, height), rw, spec).partition
+                assert enumerate_partitions(rw)[shifts[t]] == chosen
+                assert winners[t] == tally_regional(noisy, chosen).winner

@@ -432,3 +432,61 @@ def test_salt_pepper_rejects_nonpositive_trials():
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials must be positive"):
             salt_pepper_threshold(g, GlobalScheme(), (0.1,), trials=trials, seed=0)
+
+
+def test_randomized_search_spans_many_chunks_and_replays(monkeypatch):
+    # A 20x20 grid's padded 5x5 anchor lattice takes 576 bytes per trial, so
+    # a 2,000-byte cap gives chunks of 3 trials, and the best-shift chooser
+    # counts one trial at a time.
+    monkeypatch.setattr(breakdown, "_TRIAL_CHUNK_BYTES", 2000)
+    monkeypatch.setattr(breakdown, "_SUB_BATCH_BYTES", 1)
+    calls = []
+    place = breakdown._place_disjoint_blocks
+
+    def counted(rng, dims, edge, counts, *rest):
+        calls.append(len(counts))
+        return place(rng, dims, edge, counts, *rest)
+
+    monkeypatch.setattr(breakdown, "_place_disjoint_blocks", counted)
+    g = generate_grid(GridGenSpec(20, 20, 0.55, "per_region_margin", seed=5, region_edge=5))
+    for scheme in (RegionalScheme(Partition.square(5)), BestShiftScheme(5)):
+        calls.clear()
+        result = randomized_breakdown(g, scheme, 5, (4, 10), trials=200, seed=11)
+        assert len(calls) > 60 and sum(calls) == 200 and max(calls) <= 3
+        assert result.found and result.trials == 200
+        noisy, report = apply_block_noise(g, result.witness)
+        assert report.flipped_cells == result.min_flips
+        assert scheme_winner(noisy, scheme, result.witness) == 1
+        evaluated = 200 - result.skipped_infeasible - result.skipped_zero_flip
+        if isinstance(scheme, BestShiftScheme):
+            assert sum(n for _, n in result.chosen_shifts) == evaluated
+        else:
+            assert result.chosen_shifts is None
+
+
+def test_randomized_chosen_shift_histogram():
+    g = generate_grid(GridGenSpec(20, 20, 0.55, "per_region_margin", seed=6, region_edge=5))
+    result = randomized_breakdown(g, BestShiftScheme(5), 3, (2, 8), trials=300, seed=4)
+    shifts = [shift for shift, _ in result.chosen_shifts]
+    assert shifts == sorted(shifts) and len(set(shifts)) == len(shifts)
+    assert all(0 <= dx < 5 and 0 <= dy < 5 and n > 0 for (dx, dy), n in result.chosen_shifts)
+    assert sum(n for _, n in result.chosen_shifts) == (
+        300 - result.skipped_infeasible - result.skipped_zero_flip
+    )
+    assert result.to_json_dict()["chosen_shifts"] == [
+        [dx, dy, n] for (dx, dy), n in result.chosen_shifts
+    ]
+    for scheme in (GlobalScheme(), RegionalScheme(Partition.square(5))):
+        plain = randomized_breakdown(g, scheme, 3, (2, 8), trials=30, seed=4)
+        assert plain.chosen_shifts is None and "chosen_shifts" not in plain.to_json_dict()
+
+
+def test_randomized_block_counts_against_capacity():
+    g = generate_grid(GridGenSpec(6, 6, 0.6, "uniform_random", seed=3))
+    # a 6x6 grid holds 4 disjoint 3x3 blocks and 36 1x1 blocks
+    with pytest.raises(ValueError, match="lo 5 exceeds the 4 disjoint 3x3 blocks"):
+        randomized_breakdown(g, GlobalScheme(), block_edge=3, block_counts=(5, 5), trials=10)
+    huge = randomized_breakdown(g, GlobalScheme(), 1, (30, 10**9), trials=40, seed=2)
+    assert huge.trials == 40 and huge.skipped_infeasible == 40
+    full = randomized_breakdown(g, GlobalScheme(), 1, (36, 36), trials=5, seed=2)
+    assert full.skipped_infeasible < 5 and full.found

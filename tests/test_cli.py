@@ -203,6 +203,35 @@ def test_breakdown_randomized_runs(tmp_path):
     assert "infeasible" in read(out / "breakdown.txt")
 
 
+def test_breakdown_best_shift_reports_chosen_shifts(tmp_path):
+    base = (
+        "width=20\nheight=20\ngrid_mode=per_region_margin\nregion_edge=5\n"
+        "search=randomized\nblock_edge=5\nblocks_lo=4\nblocks_hi=10\ntrials=150\n"
+    )
+    for scheme in ("best_shift", "regional"):
+        cfg = tmp_path / f"{scheme}.cfg"
+        cfg.write_text(base + f"scheme={scheme}\n")
+        bodies = {}
+        for fmt in ("json", "csv", "txt"):
+            out = tmp_path / f"{scheme}_{fmt}"
+            assert run_cli("breakdown", "--config", str(cfg), "--out", str(out), "--format", fmt) == 0
+            bodies[fmt] = read(out / f"breakdown.{fmt}")
+        result = json.loads(bodies["json"])["result"]
+        if scheme == "regional":
+            assert "chosen_shifts" not in result and "chosen_shift" not in bodies["csv"]
+            assert "chosen shifts" not in bodies["txt"]
+            continue
+        rows = result["chosen_shifts"]
+        evaluated = 150 - result["skipped_infeasible"] - result["skipped_zero_flip"]
+        assert sum(n for _, _, n in rows) == evaluated
+        assert [f"chosen_shift_{dx}_{dy},{n}" for dx, dy, n in rows] == [
+            line for line in bodies["csv"].splitlines() if line.startswith("chosen_shift_")
+        ]
+        assert "chosen shifts (dx,dy: trials): " + ", ".join(
+            f"({dx},{dy}): {n}" for dx, dy, n in rows
+        ) in bodies["txt"]
+
+
 @pytest.mark.parametrize("line", ["block_edge=9", "trials=-5"])
 def test_breakdown_randomized_bad_config_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "c.cfg"
@@ -335,6 +364,8 @@ _MUST_EXIT_2 = [
     ("breakdown", {"search": "greedy", "block_edge": "0"}),
     ("breakdown", {"search": "greedy", "block_edge": "7"}),
     ("breakdown", {"budget": "-7"}),
+    # 6x6 holds 36 disjoint 1x1 blocks: 37 can never be placed
+    ("breakdown", {"search": "randomized", "blocks_lo": "37", "blocks_hi": "40"}),
     # 6,400 regions: the exact regional search's table would take 655 MB
     ("breakdown", {"width": "400", "height": "400", "region_edge": "5", "scheme": "regional"}),
     ("eigen", {"width": "1", "height": "1"}),

@@ -13,9 +13,11 @@ from regionvote.noise import (
     NoiseArea,
     PlacementInfeasibleError,
     SaltPepperSpec,
+    _place_disjoint_blocks,
     _sample_disjoint_anchors,
     apply_block_noise,
     apply_salt_pepper,
+    block_capacity,
     orthomeasure,
     pack_blocks,
     random_anchor_placement,
@@ -87,6 +89,14 @@ def test_block_overlap_first_pair_across_row_chunks():
 @settings(max_examples=300, deadline=None)
 def test_block_overlap_matches_the_pair_loop(anchors, edge):
     assert overlap_message(anchors, edge) == first_overlap(anchors, edge)
+
+
+def test_block_overlap_check_is_not_quadratic():
+    # 40,000 disjoint 2x2 blocks, then one meeting the first block: a pair
+    # loop would compare 8e8 pairs; the bucket check stays near linear.
+    anchors = [(2 * (k % 200), 2 * (k // 200)) for k in range(40_000)] + [(1, 1)]
+    assert overlap_message(anchors, 2) == "blocks at (0, 0) and (1, 1) overlap"
+    assert overlap_message(anchors[:-1], 2) is None
 
 
 def test_block_spec_rejects_bad_fields():
@@ -292,6 +302,29 @@ def test_placement_follows_random_sequential_adsorption_law():
     assert chisquare(observed, expected * draws).pvalue > 0.001
 
 
+def test_lockstep_placement_follows_random_sequential_adsorption_law():
+    # the same law as above, all 30,000 trials placed in one lockstep call
+    lattice = [(x, y) for y in range(4) for x in range(4)]
+    cells = [
+        (a, b)
+        for a in lattice
+        for b in lattice
+        if abs(a[0] - b[0]) >= 2 or abs(a[1] - b[1]) >= 2
+    ]
+    free = {a: sum(1 for p, _ in cells if p == a) for a in lattice}
+    expected = np.array([1 / (16 * free[a]) for a, _ in cells])
+    draws = 30_000
+    x, y, placed = _place_disjoint_blocks(
+        np.random.default_rng(2025), (5, 5), 2, np.full(draws, 2)
+    )
+    assert (placed == 2).all()
+    pair = (x[:, 0] + 4 * y[:, 0]) * 16 + x[:, 1] + 4 * y[:, 1]
+    index = np.array([(a[0] + 4 * a[1]) * 16 + b[0] + 4 * b[1] for a, b in cells])
+    observed = (pair[:, None] == index).sum(axis=0)
+    assert observed.sum() == draws  # every placement is one of the disjoint pairs
+    assert chisquare(observed, expected * draws).pvalue > 0.001
+
+
 def _exact_success(n, free, blocks, tries, edge):
     """P(placing `blocks` more blocks on a row of n anchors), t tries each.
 
@@ -328,6 +361,41 @@ def test_retry_budget_is_per_block_and_sequential():
         assert abs(ok - n * p) < 5 * math.sqrt(n * p * (1 - p)), (tries, ok, n * p)
     with pytest.raises(PlacementInfeasibleError, match="after 200 tries"):
         random_anchor_placement((3, 3), 2, 2, seed=0)
+
+
+def test_lockstep_retry_budget_with_mixed_counts():
+    # the 9x2 row again, 4,000 trials per budget in one call each, with
+    # block counts 1 to 4 mixed: each count keeps its exact success law
+    rng = np.random.default_rng(8)
+    for tries in (1, 2, 3, 5, 200):
+        counts = rng.integers(1, 5, size=4000)
+        x, y, placed = _place_disjoint_blocks(rng, (9, 2), 2, counts, max_tries_per_block=tries)
+        assert (y == 0).all() and (placed <= counts).all()
+        for count in range(1, 5):
+            n = int((counts == count).sum())
+            ok = int((placed[counts == count] == count).sum())
+            p = _exact_success(8, frozenset(range(8)), count, tries, 2)
+            assert abs(ok - n * p) <= 5 * math.sqrt(n * p * (1 - p)) + 1e-9, (tries, count, ok, n * p)
+        placed_slot = np.arange(x.shape[1]) < placed[:, None]
+        row = np.sort(np.where(placed_slot, x, 99), axis=1)  # unplaced slots sort last
+        assert (np.diff(row, axis=1)[placed_slot[:, 1:]] >= 2).all()  # disjoint
+
+
+def test_counts_above_capacity_fail_without_a_draw():
+    # a 7x5 grid holds (7 // 2) * (5 // 2) = 6 disjoint 2x2 blocks
+    assert block_capacity((7, 5), 2) == 6
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    x, y, placed = _place_disjoint_blocks(rng, (7, 5), 2, np.array([7, 10**9]))
+    assert rng.bit_generator.state == state
+    assert placed.tolist() == [0, 0] and x.shape == y.shape == (2, 6)
+    x, y, placed = _place_disjoint_blocks(rng, (6, 4), 2, np.array([6, 10**9, 6]))
+    assert x.shape == (3, 6) and placed[1] == 0 and placed.max() <= 6
+    with pytest.raises(PlacementInfeasibleError, match="holds at most 6 disjoint 2x2 blocks"):
+        random_anchor_placement((7, 5), 2, 10**9, seed=0)
+    with pytest.raises(PlacementInfeasibleError, match="holds at most 0"):
+        random_anchor_placement((3, 3), 4, 1, seed=0)
+    assert random_anchor_placement((7, 5), 2, 0, seed=0).anchors == ()
 
 
 def test_noise_area_bounds():
