@@ -14,12 +14,18 @@ all of them stacked on a leading region axis. Principal directions come
 from the n x n Gram matrices of the n gallery patches, all regions at
 once through a batched matmul and np.linalg.eigh, mapped back to pixel
 space; a region keeps its top min(k, d, n - 1) directions whose
-eigenvalue exceeds 1e-12 of its largest. A probe is matched in every
-region by one einsum. Probes are noisy copies of gallery patterns:
-soft-edged disks overwrite parts of the image, and a faint full-field
-jitter rides along so that very small regions lose their footing,
-mirroring how tiny electoral regions stop being meaningful samples. A
-pixel counts as affected when it moved by at least 64/256 in gray value.
+eigenvalue exceeds 1e-12 of its largest. Probes are matched in chunks:
+one einsum projects a stack of probes in every region, and the squared
+coordinate differences are summed slab by slab in the order
+np.add.reduce uses, so a chunk's distances equal one probe's bit for
+bit. The chunk cap, _PROBE_CHUNK_BYTES, keeps a chunk's image stack and
+every (gallery, probes, regions) slab within 1 MiB (or one probe's, if
+larger) however many trials run. Probes are noisy copies of gallery
+patterns: soft-edged disks overwrite parts of the image, each touching
+only its bounding window, and a faint full-field jitter rides along so
+that very small regions lose their footing, mirroring how tiny
+electoral regions stop being meaningful samples. A pixel counts as
+affected when it moved by at least 64/256 in gray value.
 """
 
 from __future__ import annotations
@@ -281,17 +287,85 @@ def train_regional(gallery: PatternGallery, region_count: int, k: int) -> EigenM
 # recognition
 
 
-def _nearest(model: EigenModel, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per region, the label rank of the nearest gallery pattern in eigen
-    coordinates, ties taking the lowest label, and whether the two
-    smallest distances are equal."""
-    patches = _region_patches(image, model.region_cols, model.region_rows)
-    probe = np.einsum("rkd,rd->rk", model.basis, patches - model.mean)
-    diff = model.coords - probe[:, None, :]
-    dists = np.sqrt(np.add.reduce(diff * diff, -1))  # the formula np.linalg.norm uses
-    at_min = dists == dists.min(axis=1, keepdims=True)
-    ranks = np.where(at_min, model.label_ranks, model.label_values.size).min(axis=1)
-    return ranks, at_min.sum(axis=1) > 1
+# Bytes of a chunk's (probes, H, W) image stack and of each of its
+# (gallery, probes, regions) float64 slabs of distance sums: probes are
+# matched in chunks small enough that neither exceeds this (unless one
+# probe's does), so memory stays flat however many trials run.
+_PROBE_CHUNK_BYTES = 1 << 20
+
+
+def _reduce_sum(term, lo: int, hi: int) -> np.ndarray:
+    """term(lo) + ... + term(hi - 1), added in place in the order
+    np.add.reduce sums a contiguous last axis (numpy's pairwise sum):
+    in sequence below 8 terms, in eight interleaved partial sums up to
+    128, halves split at a multiple of 8 above. The total equals
+    np.add.reduce over the stacked terms bit for bit. Each term(j) must
+    return a new array."""
+    count = hi - lo
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        total = _reduce_sum(term, lo, lo + half)
+        total += _reduce_sum(term, lo + half, hi)
+        return total
+    if count < 8:
+        total = term(lo)
+        for j in range(lo + 1, hi):
+            total += term(j)
+        return total
+    acc = [term(lo + j) for j in range(8)]
+    tail = hi - count % 8
+    for i in range(lo + 8, tail, 8):
+        for j in range(8):
+            acc[j] += term(i + j)
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+        acc[a] += acc[b]
+    for j in range(tail, hi):
+        acc[0] += term(j)
+    return acc[0]
+
+
+def _nearest(model: EigenModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a (P, H, W) stack of probes, per probe and region: the label
+    rank of the nearest gallery pattern in eigen coordinates, ties taking
+    the lowest label, and whether the two smallest distances are equal.
+    Both are (P, R)."""
+    patches = _region_patches(images, model.region_cols, model.region_rows)
+    probe = np.einsum("rkd,rpd->rpk", model.basis, patches - model.mean[:, None, :])
+    probe = np.ascontiguousarray(probe.transpose(2, 1, 0))  # (k, P, R)
+    coords = np.ascontiguousarray(model.coords.transpose(2, 1, 0))  # (k, n, R)
+
+    def term(j):
+        diff = coords[j][:, None, :] - probe[j]
+        diff *= diff
+        return diff
+
+    # (n, P, R) distances, the squares summed as np.linalg.norm sums them
+    dists = np.sqrt(_reduce_sum(term, 0, coords.shape[0]))
+    at_min = dists == dists.min(axis=0)
+    ranks = np.where(at_min, model.label_ranks[:, None, None], model.label_values.size)
+    return ranks.min(axis=0), at_min.sum(axis=0) > 1
+
+
+def _match(
+    model: EigenModel, images: np.ndarray, true_labels
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Regional winner-take-all for a (P, H, W) stack of probes.
+
+    Per probe: the label winning the most regions, ties breaking to the
+    lowest label; whether that lead is tied; how many regions had a
+    distance tie; and the region votes for true_labels[p]. With one
+    region this is the global nearest-label match.
+    """
+    ranks, tied = _nearest(model, images)
+    values = model.label_values
+    probes = ranks.shape[0]
+    offsets = values.size * np.arange(probes)[:, None]
+    votes = np.bincount((ranks + offsets).ravel(), minlength=probes * values.size)
+    votes = votes.reshape(probes, values.size)
+    leads = votes == votes.max(axis=1, keepdims=True)
+    won = np.where(values == np.asarray(true_labels)[:, None], votes, 0).sum(axis=1)
+    return values[leads.argmax(axis=1)], leads.sum(axis=1) > 1, tied.sum(axis=1), won
 
 
 @dataclass(frozen=True)
@@ -322,19 +396,15 @@ def recognize(
         raise ValueError(
             f"probe must be {regional_model.height}x{regional_model.width}"
         )
-    global_rank, global_tied = _nearest(global_model, probe)
-    ranks, tied = _nearest(regional_model, probe)
-    values = regional_model.label_values
-    votes = np.bincount(ranks, minlength=values.size)
-    leaders = np.flatnonzero(votes == votes.max())
-    won = int(votes[values == true_label].sum())
+    global_label, _, global_tied, _ = _match(global_model, probe[None], [true_label])
+    label, lead_tied, tied_regions, won = _match(regional_model, probe[None], [true_label])
     return RecognitionOutcome(
-        global_label=int(global_model.label_values[global_rank[0]]),
+        global_label=int(global_label[0]),
         global_tied=bool(global_tied[0]),
-        regional_label=int(values[leaders[0]]),
-        regional_tied=leaders.size > 1,
-        tied_regions=int(tied.sum()),
-        fraction_regions_won=won / regional_model.region_count,
+        regional_label=int(label[0]),
+        regional_tied=bool(lead_tied[0]),
+        tied_regions=int(tied_regions[0]),
+        fraction_regions_won=int(won[0]) / regional_model.region_count,
     )
 
 
@@ -359,19 +429,27 @@ def disk_noise(
         return image.copy(), 0.0
     height, width = image.shape
     noisy = image + rng.uniform(-_JITTER_SPAN, _JITTER_SPAN, image.shape)
-    ys, xs = np.mgrid[0:height, 0:width]
+    hit = np.abs(noisy - image) >= AFFECTED_LEVEL
+    affected = np.count_nonzero(hit)
     min_edge = min(width, height)
     for _ in range(64):
-        affected = np.abs(noisy - image) >= AFFECTED_LEVEL
-        if affected.mean() >= coverage:
+        if affected / image.size >= coverage:
             break
         cx = rng.uniform(0, width)
         cy = rng.uniform(0, height)
         radius = rng.uniform(0.15, 0.35) * min_edge
         fill = rng.uniform(0.85, 1.0) if rng.random() < 0.5 else rng.uniform(0.0, 0.15)
-        dist = np.sqrt((xs - cx) ** 2 + (ys - cy) ** 2)
+        # alpha is 0 wherever dist >= radius, so only this window changes;
+        # it runs one pixel past the disk on each side
+        x0, x1 = max(0, math.floor(cx - radius)), min(width, math.ceil(cx + radius) + 1)
+        y0, y1 = max(0, math.floor(cy - radius)), min(height, math.ceil(cy + radius) + 1)
+        window = np.s_[y0:y1, x0:x1]
+        affected -= np.count_nonzero(hit[window])
+        dist = np.sqrt((np.arange(x0, x1) - cx) ** 2 + (np.arange(y0, y1)[:, None] - cy) ** 2)
         alpha = np.clip((radius - dist) / 1.5, 0.0, 1.0)
-        noisy = (1 - alpha) * noisy + alpha * fill
+        noisy[window] = (1 - alpha) * noisy[window] + alpha * fill
+        hit[window] = np.abs(noisy[window] - image[window]) >= AFFECTED_LEVEL
+        affected += np.count_nonzero(hit[window])
     noisy = np.clip(noisy, 0.0, 1.0)
     affected = float((np.abs(noisy - image) >= AFFECTED_LEVEL).mean())
     return noisy, affected
@@ -436,12 +514,16 @@ def run_conjecture_experiment(
 
     Probes cycle through the gallery patterns; each (noise level, trial)
     pair draws one noisy probe shared by every region count, so the rate
-    curves are paired sample by sample.
+    curves are paired sample by sample. Probes are drawn in trial order
+    and matched a chunk at a time, one match per model per chunk.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     global_model = train_global(gallery, k)
     regional_models = {rc: train_regional(gallery, rc, k) for rc in region_counts}
+    # a probe's bytes in the image stack and in a distance slab at the finest layout
+    pixels, slab = gallery.width * gallery.height, gallery.count * max((1, *region_counts))
+    chunk = max(1, _PROBE_CHUNK_BYTES // (8 * max(pixels, slab)))
     rng = np.random.default_rng(seed)
     rows: list[ExperimentRow] = []
     hits: dict[tuple[int, float], int] = {
@@ -449,28 +531,31 @@ def run_conjecture_experiment(
     }
     r1_matches = True
     for level in noise_levels:
-        for trial in range(trials):
-            true_label = gallery.labels[trial % gallery.count]
-            pattern = gallery.patterns[trial % gallery.count]
-            probe, _ = disk_noise(pattern, level, rng)
-            for rc in region_counts:
-                outcome = recognize(global_model, regional_models[rc], probe, true_label)
-                correct = (
-                    outcome.regional_label == true_label and not outcome.regional_tied
-                )
-                if rc == 1 and outcome.regional_label != outcome.global_label:
-                    r1_matches = False
-                rows.append(
-                    ExperimentRow(
-                        region_count=rc,
-                        noise_level=level,
-                        trial=trial,
-                        correct=correct,
-                        fraction_regions_won=outcome.fraction_regions_won,
+        for lo in range(0, trials, chunk):
+            span = range(lo, min(lo + chunk, trials))
+            labels = [gallery.labels[trial % gallery.count] for trial in span]
+            probes = np.stack(
+                [disk_noise(gallery.patterns[trial % gallery.count], level, rng)[0] for trial in span]
+            )
+            global_labels = _match(global_model, probes, labels)[0]
+            matches = {rc: _match(model, probes, labels) for rc, model in regional_models.items()}
+            for i, trial in enumerate(span):
+                for rc in region_counts:
+                    label, lead_tied, _, won = (field[i] for field in matches[rc])
+                    correct = bool(label == labels[i] and not lead_tied)
+                    if rc == 1 and label != global_labels[i]:
+                        r1_matches = False
+                    rows.append(
+                        ExperimentRow(
+                            region_count=rc,
+                            noise_level=level,
+                            trial=trial,
+                            correct=correct,
+                            fraction_regions_won=int(won) / regional_models[rc].region_count,
+                        )
                     )
-                )
-                if correct:
-                    hits[(rc, level)] += 1
+                    if correct:
+                        hits[(rc, level)] += 1
     rates = {key: hits[key] / trials for key in hits}
     return ConjectureExperiment(
         region_counts=tuple(region_counts),

@@ -117,24 +117,6 @@ class BlockNoiseSpec:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "BlockNoiseSpec":
-        try:
-            return cls(
-                block_edge=int(payload["m_n"]),
-                anchors=tuple((int(x), int(y)) for x, y in payload["anchors"]),
-                target=int(payload["target"]),
-                flip_to=int(payload["flip_to"]),
-                flip_probability=float(payload["r"]),
-                seed=None if payload.get("seed") is None else int(payload["seed"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"noise spec JSON missing key {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "BlockNoiseSpec":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class SaltPepperSpec:
@@ -189,10 +171,6 @@ class NoiseArea:
             for x, y in cells:
                 if not (0 <= x < width and 0 <= y < height):
                     raise ValueError(f"cell ({x}, {y}) outside {width}x{height} grid")
-
-    @classmethod
-    def from_block_spec(cls, spec: BlockNoiseSpec, dims: GridDims | None = None) -> "NoiseArea":
-        return cls(frozenset(spec.cells()), dims)
 
     def __len__(self) -> int:
         return len(self.cells)

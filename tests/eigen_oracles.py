@@ -5,7 +5,9 @@ one region's matcher through it with a modified Gram-Schmidt pass,
 nearest_label ranks the gallery with a Python sort, and
 reference_recognize votes with a dict. They are slow on purpose: each
 region is a separate model, with none of the stacking, the batched eigh
-or the label ranks the package uses.
+or the label ranks the package uses. reference_disk_noise redraws every
+disk over the whole image, and reference_conjecture_experiment matches
+one probe at a time through eigenlab.recognize.
 """
 
 from __future__ import annotations
@@ -14,7 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from regionvote.eigenlab import DegenerateGalleryError, PatternGallery, region_layout
+from regionvote.eigenlab import (
+    AFFECTED_LEVEL,
+    _JITTER_SPAN,
+    ConjectureExperiment,
+    DegenerateGalleryError,
+    ExperimentRow,
+    PatternGallery,
+    recognize,
+    region_layout,
+    train_global,
+    train_regional,
+)
 
 
 def power_iteration_sym(
@@ -146,4 +159,71 @@ def reference_recognize(
         len(leaders) > 1,
         tied_regions,
         votes.get(true_label, 0) / len(boxes),
+    )
+
+
+def reference_disk_noise(
+    image: np.ndarray, coverage: float, rng: np.random.Generator
+) -> tuple[np.ndarray, float]:
+    """eigenlab.disk_noise with a whole-image distance field per disk and
+    the affected mask recounted over the whole image before each one."""
+    image = np.asarray(image, dtype=np.float64)
+    if coverage <= 0:
+        return image.copy(), 0.0
+    height, width = image.shape
+    noisy = image + rng.uniform(-_JITTER_SPAN, _JITTER_SPAN, image.shape)
+    ys, xs = np.mgrid[0:height, 0:width]
+    min_edge = min(width, height)
+    for _ in range(64):
+        affected = np.abs(noisy - image) >= AFFECTED_LEVEL
+        if affected.mean() >= coverage:
+            break
+        cx = rng.uniform(0, width)
+        cy = rng.uniform(0, height)
+        radius = rng.uniform(0.15, 0.35) * min_edge
+        fill = rng.uniform(0.85, 1.0) if rng.random() < 0.5 else rng.uniform(0.0, 0.15)
+        dist = np.sqrt((xs - cx) ** 2 + (ys - cy) ** 2)
+        alpha = np.clip((radius - dist) / 1.5, 0.0, 1.0)
+        noisy = (1 - alpha) * noisy + alpha * fill
+    noisy = np.clip(noisy, 0.0, 1.0)
+    affected = float((np.abs(noisy - image) >= AFFECTED_LEVEL).mean())
+    return noisy, affected
+
+
+def reference_conjecture_experiment(
+    gallery: PatternGallery,
+    region_counts: tuple[int, ...],
+    noise_levels: tuple[float, ...],
+    trials: int,
+    seed: int,
+    k: int = 8,
+) -> ConjectureExperiment:
+    """eigenlab.run_conjecture_experiment one probe at a time: a recognize
+    call per probe and region count, each redoing the global match."""
+    global_model = train_global(gallery, k)
+    regional_models = {rc: train_regional(gallery, rc, k) for rc in region_counts}
+    rng = np.random.default_rng(seed)
+    rows: list[ExperimentRow] = []
+    hits = {(rc, lv): 0 for rc in region_counts for lv in noise_levels}
+    r1_matches = True
+    for level in noise_levels:
+        for trial in range(trials):
+            true_label = gallery.labels[trial % gallery.count]
+            probe, _ = reference_disk_noise(gallery.patterns[trial % gallery.count], level, rng)
+            for rc in region_counts:
+                outcome = recognize(global_model, regional_models[rc], probe, true_label)
+                correct = outcome.regional_label == true_label and not outcome.regional_tied
+                if rc == 1 and outcome.regional_label != outcome.global_label:
+                    r1_matches = False
+                rows.append(
+                    ExperimentRow(rc, level, trial, correct, outcome.fraction_regions_won)
+                )
+                hits[(rc, level)] += correct
+    return ConjectureExperiment(
+        region_counts=tuple(region_counts),
+        noise_levels=tuple(noise_levels),
+        trials=trials,
+        rows=tuple(rows),
+        rates={key: hits[key] / trials for key in hits},
+        r1_matches_global=r1_matches,
     )

@@ -1,10 +1,13 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from dataclasses import fields
 
 import pytest
 
+import regionvote
 from regionvote import shifting
 from regionvote.cli import _COMMANDS, main
 
@@ -400,3 +403,18 @@ def test_boundary_configs_never_raise(tmp_path, capsys):
     assert failures == []
     assert run_cli("sweep", "--seed", str(2**64), "--out", str(tmp_path / "big")) == 2
     assert capsys.readouterr().err.startswith("config error: seed must fit")
+
+
+def test_cli_import_loads_neither_scipy_nor_hypothesis():
+    # `import scipy.stats` alone takes over a second: the CLI and the
+    # package modules import scipy only inside the functions that use it
+    src = str(pathlib.Path(regionvote.__file__).resolve().parents[1])
+    code = (
+        "import sys, regionvote.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigen_oracles import power_iteration_sym, reference_recognize, region_boxes, train_regions
+from eigen_oracles import (
+    power_iteration_sym,
+    reference_conjecture_experiment,
+    reference_disk_noise,
+    reference_recognize,
+    region_boxes,
+    train_regions,
+)
 from regionvote import eigenlab
 from regionvote.cli import main
 from regionvote.eigenlab import (
@@ -217,6 +224,24 @@ def test_disk_noise_accounting_consistent():
     assert affected >= 0.25  # the disk loop chases the requested coverage
 
 
+@given(
+    st.integers(3, 41),
+    st.integers(3, 41),
+    st.floats(0.1, 0.9),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_windowed_disk_noise_matches_whole_image_reference(width, height, coverage, seed):
+    # disk centres are uniform over the image, so disks overhang its edges
+    image = np.random.default_rng(seed).uniform(0, 1, (height, width))
+    rng, reference_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    noisy, affected = disk_noise(image, coverage, rng)
+    expected, expected_affected = reference_disk_noise(image, coverage, reference_rng)
+    assert np.array_equal(noisy, expected)
+    assert affected == expected_affected
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 def test_probe_shape_checked():
     gallery = small_gallery()
     gm = train_global(gallery, 4)
@@ -346,6 +371,50 @@ def test_gram_chunks_of_one_region_give_identical_models(monkeypatch):
     single = train_regional(gallery, 24, 5)
     for field in ("mean", "basis", "eigenvalues", "coords"):
         assert np.array_equal(getattr(single, field), getattr(whole, field))
+
+
+def test_reduce_sum_matches_add_reduce_bitwise():
+    rng = np.random.default_rng(9)
+    for n in range(1, 301):
+        x = rng.standard_normal((3, 5, n)) ** 2 * rng.uniform(1e-3, 1e3, (3, 5, 1))
+        total = eigenlab._reduce_sum(lambda j: x[..., j].copy(), 0, n)
+        assert np.array_equal(total.view(np.int64), np.add.reduce(x, -1).view(np.int64)), n
+
+
+BENCHMARK_REGION_COUNTS = (1, 4, 8, 24, 96, 600)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 123])
+def test_batched_experiment_matches_per_probe_reference(seed):
+    gallery = PatternGallery.synthetic(16, 60, 40, seed=11)
+    args = (gallery, BENCHMARK_REGION_COUNTS, (0.0, 0.5), 32, seed)
+    batched = run_conjecture_experiment(*args)
+    reference = reference_conjecture_experiment(*args)
+    assert batched.to_csv() == reference.to_csv()
+    assert batched.rates_json() == reference.rates_json()
+    assert batched.r1_matches_global == reference.r1_matches_global
+
+
+@pytest.mark.parametrize("k, count", [(3, 9), (12, 24), (20, 40)])
+def test_batched_experiment_matches_reference_across_sum_paths(k, count):
+    # k = 3 sums the squared differences in sequence, k = 12 and k = 20 in
+    # eight partial sums plus a remainder of four
+    gallery = PatternGallery.synthetic(count, 24, 20, seed=count)
+    args = (gallery, (1, 4, 24, 120), (0.0, 0.3, 0.7), 20, 5)
+    batched = run_conjecture_experiment(*args, k=k)
+    reference = reference_conjecture_experiment(*args, k=k)
+    assert train_regional(gallery, 4, k).basis.shape[1] == k
+    assert batched.to_csv() == reference.to_csv()
+    assert batched.rates_json() == reference.rates_json()
+    assert batched.r1_matches_global == reference.r1_matches_global
+
+
+def test_probe_chunks_of_one_give_identical_experiments(monkeypatch):
+    gallery = small_gallery()
+    args = (gallery, (1, 4, 24), (0.0, 0.5), 11, 3)
+    whole = run_conjecture_experiment(*args)
+    monkeypatch.setattr(eigenlab, "_PROBE_CHUNK_BYTES", 1)
+    assert run_conjecture_experiment(*args) == whole
 
 
 # sha256 of the `regionvote eigen` outputs (the rates file, then
