@@ -35,22 +35,25 @@ def main() -> int:
                     help="prefix for <prefix>_global.csv and <prefix>_regional.csv")
     args = ap.parse_args()
 
-    if args.side % args.region_edge != 0:
-        ap.error("region edge must divide the grid side")
-    grid = generate_grid(
-        GridGenSpec(args.side, args.side, args.a_frac, "uniform_random",
-                    seed=stream_seed(args.seed, "saltpepper.grid"))
-    )
+    if args.region_edge < 1 or args.side % args.region_edge != 0:
+        ap.error("region edge must be positive and divide the grid side")
     noise_seed = stream_seed(args.seed, "saltpepper.noise")
-    curves = {
-        "global": salt_pepper_threshold(
-            grid, GlobalScheme(), tuple(args.rates), trials=args.trials, seed=noise_seed
-        ),
-        "regional": salt_pepper_threshold(
-            grid, RegionalScheme(Partition.square(args.region_edge)),
-            tuple(args.rates), trials=args.trials, seed=noise_seed,
-        ),
-    }
+    try:
+        grid = generate_grid(
+            GridGenSpec(args.side, args.side, args.a_frac, "uniform_random",
+                        seed=stream_seed(args.seed, "saltpepper.grid"))
+        )
+        curves = {
+            "global": salt_pepper_threshold(
+                grid, GlobalScheme(), tuple(args.rates), trials=args.trials, seed=noise_seed
+            ),
+            "regional": salt_pepper_threshold(
+                grid, RegionalScheme(Partition.square(args.region_edge)),
+                tuple(args.rates), trials=args.trials, seed=noise_seed,
+            ),
+        }
+    except ValueError as exc:  # a bad side, share, rate or trial count, or a lost grid
+        ap.error(str(exc))
 
     print(f"{'rate':>8}  {'global':>8}  {'regional':>8}")
     for pg, pr in zip(curves["global"], curves["regional"]):

@@ -22,19 +22,15 @@ from regionvote.noise import (
     NoiseReport,
     PackResult,
     PlacementInfeasibleError,
-    SaltPepperSpec,
     apply_block_noise,
-    apply_salt_pepper,
     orthomeasure,
     pack_blocks,
     random_anchor_placement,
 )
 from regionvote.voting import (
-    ElectionResult,
     GlobalTally,
     RegionalTally,
     tally_global,
-    tally_multicandidate,
     tally_regional,
 )
 
@@ -48,22 +44,18 @@ __all__ = [
     "DimensionMismatchError",
     "enumerate_partitions",
     "BlockNoiseSpec",
-    "SaltPepperSpec",
     "NoiseArea",
     "NoiseReport",
     "PackResult",
     "BlockOverlapError",
     "PlacementInfeasibleError",
     "apply_block_noise",
-    "apply_salt_pepper",
     "random_anchor_placement",
     "orthomeasure",
     "pack_blocks",
     "GlobalTally",
     "RegionalTally",
-    "ElectionResult",
     "tally_global",
     "tally_regional",
-    "tally_multicandidate",
     "__version__",
 ]

@@ -16,7 +16,6 @@ to minimize the number of noise-touched regions before tallying.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,79 +122,6 @@ def best_shift_lower_bound(
     return raw / flip_fraction
 
 
-def multicandidate_bounds(
-    n_cells: int,
-    fracs: tuple[Real, ...] | list[Real],
-    noise_edge: int,
-    region_edge: int,
-) -> tuple[Real, Real]:
-    """(national, regional) accommodation with n candidates.
-
-    fracs must be sorted in strictly descending order of the top two and
-    sum to 1. The national figure is (first - second) / 2 * N; the
-    regional figure is the fixed-partition lower bound for the leader.
-    """
-    if len(fracs) < 2:
-        raise ValueError("need at least two candidate fractions")
-    total = sum(Fraction(f) if isinstance(f, (int, Fraction)) else f for f in fracs)
-    if isinstance(total, Fraction):
-        if total != 1:
-            raise ValueError(f"fractions must sum to 1, got {total}")
-    elif not math.isclose(float(total), 1.0, rel_tol=0, abs_tol=1e-9):
-        raise ValueError(f"fractions must sum to 1, got {total}")
-    for hi, lo in zip(fracs, fracs[1:]):
-        if not hi > lo:
-            raise ValueError("fractions must be sorted in strictly descending order")
-    national = national_breakdown(n_cells, fracs[0], fracs[1])
-    regional = fixed_partition_lower_bound(n_cells, fracs[0], noise_edge, region_edge)
-    return national, regional
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    n_cells: int
-    a_frac: Real
-    b_frac: Real
-    noise_edge: int
-    region_edge: int
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    national: Real
-    fixed_partition: Real
-    best_shift: Real
-    fixed_ratio_ceiling: Fraction
-    best_shift_ratio_ceiling: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "national": float(self.national),
-            "fixed_partition": float(self.fixed_partition),
-            "best_shift": float(self.best_shift),
-            "fixed_ratio_ceiling": float(self.fixed_ratio_ceiling),
-            "best_shift_ratio_ceiling": float(self.best_shift_ratio_ceiling),
-        }
-
-
-def bound_report(inputs: BoundInputs) -> BoundReport:
-    return BoundReport(
-        national=national_breakdown(inputs.n_cells, inputs.a_frac, inputs.b_frac),
-        fixed_partition=fixed_partition_lower_bound(
-            inputs.n_cells, inputs.a_frac, inputs.noise_edge, inputs.region_edge
-        ),
-        best_shift=best_shift_lower_bound(
-            inputs.n_cells, inputs.a_frac, inputs.noise_edge, inputs.region_edge
-        ),
-        fixed_ratio_ceiling=fixed_partition_ratio_ceiling(
-            inputs.noise_edge, inputs.region_edge
-        ),
-        best_shift_ratio_ceiling=best_shift_ratio_ceiling(
-            inputs.noise_edge, inputs.region_edge
-        ),
-    )
-
-
 def margin_fracs(margin_pct: int) -> tuple[Fraction, Fraction]:
     """Exact (a_frac, b_frac) for a two-candidate margin in percent."""
     if not (0 <= margin_pct <= 100):
@@ -241,9 +167,6 @@ class BoundTable:
             "rows": list(self.row_labels),
             "cells": [list(r) for r in self.cells],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def table_stability_margins(

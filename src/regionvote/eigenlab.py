@@ -30,7 +30,6 @@ affected when it moved by at least 64/256 in gray value.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -101,62 +100,6 @@ class PatternGallery:
             # a pattern every wave left constant is flat mid-gray
             pats[p] = 0.5 if hi == lo else 0.05 + 0.9 * (acc - lo) / (hi - lo)
         return cls(width, height, pats, tuple(range(count)))
-
-
-def pattern_to_pgm(pattern: np.ndarray) -> str:
-    """Plain (ASCII) PGM with a 16-bit gray scale."""
-    arr = np.asarray(pattern, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("pattern must be 2-D")
-    scaled = np.rint(np.clip(arr, 0.0, 1.0) * 65535).astype(np.int64)
-    lines = ["P2", f"{arr.shape[1]} {arr.shape[0]}", "65535"]
-    for row in scaled:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def pattern_from_pgm(text: str) -> np.ndarray:
-    tokens: list[str] = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.split())
-    if not tokens or tokens[0] != "P2":
-        raise ValueError("expected a plain PGM (magic P2)")
-    if len(tokens) < 4:
-        raise ValueError("truncated PGM header")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    data = tokens[4:]
-    if len(data) != width * height:
-        raise ValueError(f"expected {width * height} pixels, got {len(data)}")
-    arr = np.array([int(t) for t in data], dtype=np.float64).reshape(height, width)
-    return arr / maxval
-
-
-def save_gallery_pgm(gallery: PatternGallery, directory) -> list[str]:
-    """One PGM file per pattern, named by label; returns written paths."""
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for label, pattern in zip(gallery.labels, gallery.patterns):
-        path = directory / f"pattern_{label:03d}.pgm"
-        path.write_text(pattern_to_pgm(pattern))
-        paths.append(str(path))
-    return paths
-
-
-def load_gallery_pgm(directory) -> PatternGallery:
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    files = sorted(directory.glob("pattern_*.pgm"))
-    if not files:
-        raise ValueError(f"no pattern_*.pgm files in {directory}")
-    pats = [pattern_from_pgm(f.read_text()) for f in files]
-    labels = tuple(int(f.stem.split("_")[1]) for f in files)
-    height, width = pats[0].shape
-    return PatternGallery(width, height, np.stack(pats), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +431,6 @@ class ConjectureExperiment:
                 f"{r.fraction_regions_won!r}"
             )
         return "\n".join(lines) + "\n"
-
-    def rates_json(self) -> str:
-        payload = {
-            "trials": self.trials,
-            "r1_matches_global": self.r1_matches_global,
-            "rates": [
-                {"region_count": rc, "noise_level": lv, "rate": self.rates[(rc, lv)]}
-                for rc in self.region_counts
-                for lv in self.noise_levels
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def run_conjecture_experiment(

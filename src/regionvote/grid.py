@@ -14,7 +14,6 @@ partitions can be shared freely across threads or worker processes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,53 +96,6 @@ def grid_to_text(grid: Grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def grid_from_text(text: str) -> Grid:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty grid text")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"malformed header {lines[0]!r}, want 'l m candidate_count'")
-    try:
-        width, height, candidates = (int(tok) for tok in header)
-    except ValueError as exc:
-        raise ValueError(f"non-integer header {lines[0]!r}") from exc
-    if len(lines) - 1 != height:
-        raise ValueError(f"expected {height} vote rows, got {len(lines) - 1}")
-    votes = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != width:
-            raise ValueError(f"expected {width} votes per row, got {len(toks)}")
-        votes += [int(t) for t in toks]
-    return Grid(width, height, candidates, votes)
-
-
-def grid_to_json_dict(grid: Grid) -> dict:
-    return {
-        "l": grid.width,
-        "m": grid.height,
-        "candidates": grid.candidate_count,
-        "votes": grid.votes.tolist(),
-    }
-
-
-def grid_from_json_dict(payload: dict) -> Grid:
-    try:
-        width, height = int(payload["l"]), int(payload["m"])
-        return Grid(width, height, int(payload["candidates"]), payload["votes"])
-    except KeyError as exc:
-        raise ValueError(f"grid JSON missing key {exc}") from exc
-
-
-def grid_to_json(grid: Grid) -> str:
-    return json.dumps(grid_to_json_dict(grid), sort_keys=True)
-
-
-def grid_from_json(text: str) -> Grid:
-    return grid_from_json_dict(json.loads(text))
-
-
 @dataclass(frozen=True)
 class Partition:
     """Equal rectangular regions with a toroidal shift offset.
@@ -172,19 +124,6 @@ class Partition:
     @classmethod
     def square(cls, edge: int, dx: int = 0, dy: int = 0) -> "Partition":
         return cls(edge, edge, dx, dy)
-
-    @property
-    def is_square(self) -> bool:
-        return self.region_width == self.region_height
-
-    @property
-    def edge(self) -> int:
-        """Square region edge; only defined for square partitions."""
-        if not self.is_square:
-            raise ValueError(
-                f"partition regions are {self.region_width}x{self.region_height}, not square"
-            )
-        return self.region_width
 
     def validate_for(self, dims: GridDims) -> None:
         width, height = dims

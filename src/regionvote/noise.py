@@ -1,13 +1,11 @@
-"""Noise injection: concentrated anti-target blocks and salt-and-pepper.
+"""Noise injection: concentrated anti-target blocks.
 
 Concentrated noise is a set of pairwise disjoint square blocks; inside a
 block, every cell currently voting for the target candidate flips to
-flip_to with probability r (independently per cell). Salt-and-pepper
-noise flips target cells uniformly over the whole grid instead. A
-NoiseReport carries the realized flip count next to the concentrated
-area of the blocks, and its residual counts flipped cells not covered by
-any block (zero for block noise by construction, the full flip count for
-salt-and-pepper).
+flip_to with probability r (independently per cell). A NoiseReport
+carries the realized flip count next to the concentrated area of the
+blocks. Salt-and-pepper noise, which flips target cells uniformly over
+the whole grid, is drawn by breakdown.salt_pepper_threshold itself.
 
 The module also measures noise areas: orthomeasure() is the discrete
 width of an area (the shortest maximal axis-aligned run of cells in any
@@ -17,7 +15,6 @@ disjoint squares into an area to bound its concentrated part from below.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,46 +111,17 @@ class BlockNoiseSpec:
             "seed": self.seed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-@dataclass(frozen=True)
-class SaltPepperSpec:
-    """Uniform independent flips of target cells at the given rate."""
-
-    rate: float
-    target: int
-    flip_to: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.rate <= 1.0):
-            raise ValueError("rate must lie in [0, 1]")
-        if self.target == self.flip_to:
-            raise ValueError("target and flip_to must differ")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "target": self.target,
-            "flip_to": self.flip_to,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class NoiseReport:
-    """Realized noise accounting.
+    """Realized block-noise accounting.
 
-    flipped_cells is the number of votes actually changed (N_n),
-    concentrated_area the total block area (S_c, zero for dispersed
-    noise), and residual the flipped cells outside any block.
+    flipped_cells is the number of votes actually changed (N_n), and
+    concentrated_area the total block area (S_c).
     """
 
     flipped_cells: int
     concentrated_area: int
-    residual: int
 
 
 @dataclass(frozen=True)
@@ -202,22 +170,7 @@ def apply_block_noise(
     if spec.flip_probability < 1.0:
         idx = idx[rng.random(idx.size) < spec.flip_probability]
     votes[idx] = spec.flip_to
-    report = NoiseReport(
-        flipped_cells=idx.size,
-        concentrated_area=spec.concentrated_area(),
-        residual=0,
-    )
-    return grid.replace_votes(votes), report
-
-
-def apply_salt_pepper(grid: Grid, spec: SaltPepperSpec) -> tuple[Grid, NoiseReport]:
-    """Flip each target cell independently with probability spec.rate."""
-    rng = np.random.default_rng(spec.seed)
-    votes = grid.votes.copy()
-    idx = np.flatnonzero(votes == spec.target)
-    idx = idx[rng.random(idx.size) < spec.rate]
-    votes[idx] = spec.flip_to
-    report = NoiseReport(flipped_cells=idx.size, concentrated_area=0, residual=idx.size)
+    report = NoiseReport(flipped_cells=idx.size, concentrated_area=spec.concentrated_area())
     return grid.replace_votes(votes), report
 
 

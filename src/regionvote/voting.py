@@ -9,7 +9,6 @@ region total, and a tied top level yields winner None.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +48,6 @@ class GlobalTally:
     counts: tuple[int, ...]
     winner: Winner
 
-    def to_json_dict(self) -> dict:
-        return {"counts": list(self.counts), "winner": self.winner}
-
 
 @dataclass(frozen=True)
 class RegionalTally:
@@ -74,35 +70,6 @@ class RegionalTally:
         }
 
 
-@dataclass(frozen=True)
-class ElectionResult:
-    """A national tally next to regional tallies of the same grid."""
-
-    national: GlobalTally
-    regional: tuple[RegionalTally, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "national": self.national.to_json_dict(),
-            "regional": [r.to_json_dict() for r in self.regional],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def to_csv_rows(self) -> list[list]:
-        """One row per regional tally: offsets, per-candidate region wins,
-        tie count, winner ('' for a tie)."""
-        rows = []
-        for tally in self.regional:
-            rows.append(
-                [tally.partition.dx, tally.partition.dy]
-                + list(tally.regions_won)
-                + [tally.tie_regions, "" if tally.winner is None else tally.winner]
-            )
-        return rows
-
-
 def tally_global(grid: Grid) -> GlobalTally:
     counts = grid.counts()
     return GlobalTally(counts=counts, winner=plurality_winner(counts))
@@ -122,14 +89,3 @@ def tally_regional(grid: Grid, partition: Partition) -> RegionalTally:
         winner=plurality_winner(regions_won),
     )
 
-
-def tally_multicandidate(grid: Grid, partition: Partition) -> ElectionResult:
-    """National and regional outcomes for any number of candidates.
-
-    The rules are the two-candidate ones applied verbatim: a single
-    winner per level by strict plurality, ties for nobody.
-    """
-    return ElectionResult(
-        national=tally_global(grid),
-        regional=(tally_regional(grid, partition),),
-    )

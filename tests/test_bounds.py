@@ -1,7 +1,6 @@
 import json
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,13 +8,10 @@ from regionvote.bounds import (
     best_shift_area_threshold,
     best_shift_lower_bound,
     best_shift_ratio_ceiling,
-    bound_report,
-    BoundInputs,
     fixed_partition_area_threshold,
     fixed_partition_lower_bound,
     fixed_partition_ratio_ceiling,
     margin_fracs,
-    multicandidate_bounds,
     national_breakdown,
     round_half_up,
     table_shifting_gain,
@@ -75,7 +71,7 @@ def test_lower_bound_table2_digits():
 
 def test_table_renderings_agree():
     table = table_stability_margins()
-    as_json = json.loads(table.to_json())
+    as_json = json.loads(json.dumps(table.to_json_dict()))
     assert as_json["cells"] == [list(r) for r in table.cells]
     csv_lines = table.to_csv().strip().splitlines()
     assert csv_lines[0].startswith("margin,")
@@ -118,33 +114,3 @@ def test_margin_fracs():
     a, b = margin_fracs(10)
     assert a == Fraction(55, 100) and b == Fraction(45, 100)
     assert a + b == 1
-
-
-def test_multicandidate_validation():
-    with pytest.raises(ValueError):
-        multicandidate_bounds(100, (Fraction(1, 2), Fraction(1, 2)), 1, 2)  # not descending
-    with pytest.raises(ValueError):
-        multicandidate_bounds(100, (Fraction(3, 5), Fraction(1, 5)), 1, 2)  # sums below 1
-
-
-def test_multicandidate_two_way_matches_binary():
-    shares = (Fraction(55, 100), Fraction(45, 100))
-    national, regional = multicandidate_bounds(10_000, shares, 1, 2)
-    assert national == national_breakdown(10_000, shares[0], shares[1])
-    assert regional == fixed_partition_lower_bound(10_000, shares[0], 1, 2)
-
-
-def test_bound_report_round_trip():
-    inputs = BoundInputs(
-        n_cells=10_000,
-        a_frac=Fraction(21, 40),
-        b_frac=Fraction(19, 40),
-        noise_edge=5,
-        region_edge=5,
-    )
-    payload = bound_report(inputs).to_json_dict()
-    json.dumps(payload)
-    assert payload["national"] == float(
-        national_breakdown(10_000, Fraction(21, 40), Fraction(19, 40))
-    )
-    assert payload["best_shift"] >= payload["fixed_partition"]

@@ -381,6 +381,18 @@ def test_salt_pepper_rejects_best_shift():
         salt_pepper_threshold(g, BestShiftScheme(5), (0.1,), trials=10, seed=0)
 
 
+def test_salt_pepper_refuses_a_grid_the_target_loses():
+    # 180 of 400 votes: the rival already wins, so rate 0 would read as a
+    # certain overturn; the check runs only when there are rates to draw
+    g = generate_grid(GridGenSpec(20, 20, 0.45, "uniform_random", seed=1))
+    for scheme in (GlobalScheme(), RegionalScheme(Partition.square(5))):
+        with pytest.raises(ValueError, match="grid winner is 1, expected target 0"):
+            salt_pepper_threshold(g, scheme, (0.0, 0.1), trials=10, seed=1)
+        with pytest.raises(ValueError, match="grid winner is 1, expected target 0"):
+            randomized_breakdown(g, scheme, 2, (1, 2), trials=10)
+        assert salt_pepper_threshold(g, scheme, (), trials=10) == ()
+
+
 def test_estimate_threshold_interpolates():
     curve = (
         ThresholdPoint(0.0, 0.0, 0.0, 0.0),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -206,14 +207,16 @@ def test_breakdown_randomized_runs(tmp_path):
     assert "infeasible" in read(out / "breakdown.txt")
 
 
+RANDOMIZED_20X20 = (
+    "width=20\nheight=20\ngrid_mode=per_region_margin\nregion_edge=5\n"
+    "search=randomized\nblock_edge=5\nblocks_lo=4\nblocks_hi=10\ntrials=150\n"
+)
+
+
 def test_breakdown_best_shift_reports_chosen_shifts(tmp_path):
-    base = (
-        "width=20\nheight=20\ngrid_mode=per_region_margin\nregion_edge=5\n"
-        "search=randomized\nblock_edge=5\nblocks_lo=4\nblocks_hi=10\ntrials=150\n"
-    )
     for scheme in ("best_shift", "regional"):
         cfg = tmp_path / f"{scheme}.cfg"
-        cfg.write_text(base + f"scheme={scheme}\n")
+        cfg.write_text(RANDOMIZED_20X20 + f"scheme={scheme}\n")
         bodies = {}
         for fmt in ("json", "csv", "txt"):
             out = tmp_path / f"{scheme}_{fmt}"
@@ -294,6 +297,94 @@ def test_reruns_are_byte_identical(tmp_path):
         assert tree_bytes(d1) == tree_bytes(d2), name
 
 
+# sha256 of every file the other subcommands write, per format; eigen's
+# outputs are pinned the same way in test_eigenlab.py (EIGEN_OUTPUTS).
+CLI_RUNS = {
+    "bounds": ["bounds"],
+    "sweep": ["sweep", "--seed", "3"],
+    "breakdown": ["breakdown", "--seed", "5"],
+    "best_shift": None,  # RANDOMIZED_20X20 under scheme=best_shift
+    "flag": ["flag", "--seed", "1"],
+}
+CLI_OUTPUTS = {
+    ("bounds", "csv"): {
+        "config_echo.json": "695dd0ed57b69665fd524d240f19cb6466ad19de896358da48d0ec6eaf55eab5",
+        "table1.csv": "c06c4c357e0aacd8183206e67a623d70b307df239958dbf03aff85efd3c0c568",
+        "table2.csv": "971cc6b2caddde34af750b42c851a92197285562112d2974ba01cbd4a80e6a31",
+    },
+    ("bounds", "json"): {
+        "config_echo.json": "5e1d4330f83ef724e1ef54258da25471e5e8e8e23329e5e4d3868db727f66cd7",
+        "table1.json": "8ffa81438127915a2941e409989ca6a680a19bc03551829ee1ecefebfc10a4a2",
+        "table2.json": "a0667441e5402ec47228b180487b017be53bc249ee941620de0d9ffebff595e9",
+    },
+    ("bounds", "txt"): {
+        "config_echo.json": "dc769c14da13f5f1fc243ec9624489ce45b2b4fde7ade93175c19bb4c42593c6",
+        "table1.txt": "75032e3b123d42ee838b2ea02348229799cee6f7563580936f102de950b89a86",
+        "table2.txt": "610b50be4f37f8761bb705dc2455b76fd56dcc23be2aca32885e01b5101bb93e",
+    },
+    ("sweep", "csv"): {
+        "config_echo.json": "d37a168dd117f93665f0a8146b6da2aaa6ea610c406b0f69cbfe38768622ff65",
+        "histogram.csv": "80a265df6625a875ddc1162961eb5819e4716418c7e2681cc5c9220556da704b",
+        "sweep.csv": "1e245be8e3751d36b76c4735e58139943d14910e09109ec1b7a781c78c406b4e",
+    },
+    ("sweep", "json"): {
+        "config_echo.json": "e5563aaa91ba5526c5649f049b6a30d0d320272e91cd784ea942ac5e3ddf24c2",
+        "sweep.json": "0801407d404b35c5bf027fcda1700f7c228791cae950cc337b8893ed10235e81",
+    },
+    ("sweep", "txt"): {
+        "config_echo.json": "93ffac0816a0efd5ad7706ac4e5525d394badb22356b0c9af3adb63368c9185f",
+        "sweep.txt": "487778da5457c31f6342ca8cdf08c7e7569aa7e9587e7d06edd2a4d4ce8c816c",
+    },
+    ("breakdown", "csv"): {
+        "breakdown.csv": "052c710541a0f0689c41e025c9c4b88f51f821e0addec977fe9a001081065129",
+        "config_echo.json": "148996bbbff32ac89f800dcb71b88d1751b2556361ea01a237b5a510d4f1c465",
+    },
+    ("breakdown", "json"): {
+        "breakdown.json": "2ab0d0ec0ea9541c365c943935b8a1913fd081f212da94926c1ff5fb4e4ce26e",
+        "config_echo.json": "e4ca842f184fad8a0af41c55c384dc3a8bc266a02df846d272780041deed75d8",
+    },
+    ("breakdown", "txt"): {
+        "breakdown.txt": "512ed17cfa158f749841f814c500cadc143a7934457b7e4bfb7331b9d86b0171",
+        "config_echo.json": "22b95df57adaec428cd264b407979a50000e2dd84d7be2d8b00f449e27c72ddc",
+    },
+    ("best_shift", "csv"): {
+        "breakdown.csv": "26a209026ffee13ff35f61eb093c2768ed55015c303bd0d1f4bd933833e1472f",
+        "config_echo.json": "9dbbaf6678d581ccca46b91e8505a9c301907f2590c21b44cef1be31354d029e",
+    },
+    ("best_shift", "json"): {
+        "breakdown.json": "b801614d49ba828322e117c35ab42a80f81acb1539e8bfe50e3ced09ba53ed85",
+        "config_echo.json": "66ff0b08493737ff45c82b53f51655d6cc84f3c4af82b071eea6c08103f4ff59",
+    },
+    ("best_shift", "txt"): {
+        "breakdown.txt": "6033234f0def9f8276158f32f70c78f3c98a27c2ec3c2142269a7454c9bf7d38",
+        "config_echo.json": "ede07dc35e2dbb22994c04eb0127bdbd1a7d1a7f19fed3d3a0ca36c1dc780c1b",
+    },
+    ("flag", "csv"): {
+        "config_echo.json": "a04d9dbe365e6bf982ed4b66f4e9e675f07f6c12ec840de1640af7a73baf3f02",
+        "flag_report.csv": "b61ac61e5e543f37c9f51237b25dbe55d16044c9d284cd86edd5dd4d48b9ee87",
+    },
+    ("flag", "json"): {
+        "config_echo.json": "7afaf38e70fc07240cb6acdc8e47c5ec33021da2bcebdaef1a4290b7ac782133",
+        "flag_report.json": "60208b5948bc42f3747ee8af694d53cb35479db2c645dcfcf12c59431ef149c9",
+    },
+    ("flag", "txt"): {
+        "config_echo.json": "d5107c0752afac758af61a405485a5a7d5845640e8319877272cb6ca5a49e949",
+        "flag_report.txt": "189ac47ba74a73f7bc72dea5b2881f1c5edfd1a5c98d3f8d9a5270db3fa11936",
+    },
+}
+
+
+def test_cli_outputs_are_unchanged(tmp_path):
+    cfg = tmp_path / "best_shift.cfg"
+    cfg.write_text(RANDOMIZED_20X20 + "scheme=best_shift\n")
+    for (name, fmt), digests in CLI_OUTPUTS.items():
+        out = tmp_path / f"{name}_{fmt}"
+        args = CLI_RUNS[name] or ["breakdown", "--config", str(cfg)]
+        assert run_cli(*args, "--format", fmt, "--out", str(out)) == 0
+        written = {path: hashlib.sha256(data).hexdigest() for path, data in tree_bytes(out).items()}
+        assert written == digests, (name, fmt)
+
+
 def test_eigen_rerun_byte_identical(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("patterns=5\nwidth=20\nheight=12\ntrials=2\nnoise_levels=0.0,0.5\nregion_counts=1,4\n")
@@ -320,6 +411,28 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "bounds" in proc.stdout and "eigen" in proc.stdout
+
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "salt_pepper_curves.py"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--rates", "1.5"], "rate must lie in [0, 1]"),
+    (["--trials", "0"], "trials must be positive"),
+    (["--side", "0"], "grid dimensions must be positive"),
+    (["--a-frac", "2"], "a_frac must lie in [0, 1]"),
+    (["--region-edge", "0"], "region edge must be positive"),
+    (["--a-frac", "0.45"], "grid winner is 1, expected target 0"),
+])
+def test_salt_pepper_script_bad_arguments_exit_2(args, message):
+    src = str(pathlib.Path(regionvote.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--side", "20", "--trials", "10", "--rates", "0.1", *args],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 # Every config key at boundary values. Small attempts, trials and images

@@ -12,11 +12,9 @@ from regionvote.noise import (
     BlockOverlapError,
     NoiseArea,
     PlacementInfeasibleError,
-    SaltPepperSpec,
     _place_disjoint_blocks,
     _sample_disjoint_anchors,
     apply_block_noise,
-    apply_salt_pepper,
     block_capacity,
     orthomeasure,
     pack_blocks,
@@ -121,7 +119,6 @@ def test_certain_block_noise_flips_every_target_cell():
     noisy, report = apply_block_noise(g, spec)
     assert report.flipped_cells == 8
     assert report.concentrated_area == 8
-    assert report.residual == 0
     flipped = {
         (x, y)
         for y in range(6)
@@ -212,15 +209,6 @@ def reference_block_noise(grid, spec, seed):
     return grid.replace_votes(tuple(votes))
 
 
-def reference_salt_pepper(grid, spec):
-    rng = np.random.default_rng(spec.seed)
-    votes = list(grid.votes)
-    for idx, v in enumerate(votes):
-        if v == spec.target and rng.random() < spec.rate:
-            votes[idx] = spec.flip_to
-    return grid.replace_votes(tuple(votes))
-
-
 def test_noise_matches_per_cell_reference():
     for seed in range(300):
         rng = np.random.default_rng(seed)
@@ -240,29 +228,6 @@ def test_noise_matches_per_cell_reference():
         noisy, report = apply_block_noise(grid, spec, seed=seed)
         assert noisy == reference_block_noise(grid, spec, seed), seed
         assert report.flipped_cells == sum(a != b for a, b in zip(grid.votes, noisy.votes))
-        sp = SaltPepperSpec(rate=rate, target=1, flip_to=0, seed=seed)
-        noisy, report = apply_salt_pepper(grid, sp)
-        assert noisy == reference_salt_pepper(grid, sp), seed
-        assert report.flipped_cells == sum(a != b for a, b in zip(grid.votes, noisy.votes))
-
-
-def test_salt_pepper_extremes():
-    g = Grid(5, 5, 2, tuple([0] * 20 + [1] * 5))
-    unchanged, rep0 = apply_salt_pepper(g, SaltPepperSpec(rate=0.0, target=0, flip_to=1, seed=1))
-    assert unchanged == g and rep0.flipped_cells == 0
-    flooded, rep1 = apply_salt_pepper(g, SaltPepperSpec(rate=1.0, target=0, flip_to=1, seed=1))
-    assert flooded.counts() == (0, 25)
-    assert rep1.flipped_cells == 20
-    assert rep1.residual == rep1.flipped_cells  # dispersed noise has no concentration
-    assert rep1.concentrated_area == 0
-
-
-def test_salt_pepper_reproducible():
-    g = all_a_grid(12, 12)
-    spec = SaltPepperSpec(rate=0.25, target=0, flip_to=1, seed=9)
-    n1, r1 = apply_salt_pepper(g, spec)
-    n2, r2 = apply_salt_pepper(g, spec)
-    assert n1 == n2 and r1 == r2
 
 
 def test_random_anchor_placement_disjoint_and_in_bounds():
