@@ -7,6 +7,7 @@ where the overturn frequency first crosses one half.
 """
 
 import argparse
+import pathlib
 import sys
 
 from regionvote.breakdown import (
@@ -37,6 +38,8 @@ def main() -> int:
 
     if args.region_edge < 1 or args.side % args.region_edge != 0:
         ap.error("region edge must be positive and divide the grid side")
+    if args.csv and not pathlib.Path(args.csv).parent.is_dir():
+        ap.error(f"--csv directory {pathlib.Path(args.csv).parent} does not exist")
     noise_seed = stream_seed(args.seed, "saltpepper.noise")
     try:
         grid = generate_grid(

@@ -32,7 +32,7 @@ from .breakdown import (
     randomized_breakdown,
 )
 from .eigenlab import PatternGallery, run_conjecture_experiment
-from .grid import Grid, Partition, _summed_area, grid_to_text
+from .grid import Grid, Partition, grid_to_text
 from .noise import BlockNoiseSpec, PlacementInfeasibleError, random_anchor_placement
 from .seeding import stream_rng, stream_seed
 from .shifting import fewest_contaminated, shift_histogram, sweep_partitions, sweep_to_csv
@@ -59,6 +59,12 @@ EIGEN_ARRAY_CAP = 1 << 30
 
 # The regional schemes the flag instance must survive: 5x4 and 3x3 regions.
 FLAG_PARTITIONS = (Partition(region_width=5, region_height=4), Partition.square(3))
+# Flag attempts evaluated in lockstep. Attempts after a chunk's first
+# success are wasted work; 32 balances that against per-chunk overhead.
+FLAG_CHUNK = 32
+# Anchor uniforms drawn from an attempt's stream at once, so that memory
+# stays bounded for any block count.
+FLAG_DRAW_CHUNK = 1024
 
 
 class ConfigError(Exception):
@@ -361,122 +367,198 @@ def cmd_bounds(cfg: BoundsConfig, out_dir: pathlib.Path, fmt: str) -> int:
 # flag
 
 
-def _flag_layout(rng: np.random.Generator, width: int, height: int, black: int) -> Grid:
-    """Black votes clustered around a few random centers, count exact."""
-    n_centers = int(rng.integers(2, 4))
-    cx = rng.uniform(0, width, n_centers)
-    cy = rng.uniform(0, height, n_centers)
-    dx2 = (np.arange(width)[:, None] - cx) ** 2
-    dy2 = (np.arange(height)[:, None, None] - cy) ** 2
-    d2 = (dx2 + dy2).min(axis=2)
-    d2 = d2 + rng.uniform(0, 0.35, d2.shape) * d2.max()
-    votes = np.zeros(width * height, dtype=np.int64)
-    votes[np.argsort(d2.ravel(), kind="stable")[:black]] = 1
-    return Grid(width, height, 2, votes)
+def _flag_layouts(rngs, width: int, height: int, black: int) -> np.ndarray:
+    """Black votes clustered around two or three random centers, count
+    exact: one flat row of 0/1 votes per generator. Each generator draws
+    its center count, then the x centers, y centers and jitter with one
+    random() call (uniform(0, s) is 0.0 + s * random(), the same double as
+    s * random()); a missing third center sits at infinity."""
+    n, n_cells = len(rngs), width * height
+    cx = np.full((3, n, 1, 1), np.inf)
+    cy = np.full((3, n, 1, 1), np.inf)
+    jitter = np.empty((n, height, width))
+    for row, rng in enumerate(rngs):
+        k = int(rng.integers(2, 4))
+        draws = rng.random(2 * k + n_cells)
+        cx[:k, row, 0, 0] = draws[:k]
+        cy[:k, row, 0, 0] = draws[k : 2 * k]
+        jitter[row] = draws[2 * k :].reshape(height, width)
+    dx2 = (np.arange(width) - width * cx) ** 2
+    dy2 = (np.arange(height)[:, None] - height * cy) ** 2
+    d2 = (dx2 + dy2).min(axis=0)
+    d2 = d2 + 0.35 * jitter * d2.max(axis=(1, 2), keepdims=True)
+    return _first_cells(d2.reshape(n, n_cells), black).astype(np.int64)
 
 
-def _winner_cellmap(grid: Grid, partition: Partition):
-    """Per-cell map of whether Black won the cell's region, plus the tally."""
-    tally = tally_regional(grid, partition)
-    black = np.array([w == 1 for w in tally.region_winners])
-    labels = partition.labels((grid.width, grid.height))
-    return black[labels].reshape(grid.height, grid.width), tally
+def _first_cells(keys: np.ndarray, count: int) -> np.ndarray:
+    """Mask of the first count cells of each row of keys in a stable
+    argsort: every cell up to the count-th smallest key, unless ties
+    straddle that cut, where the lower indices win."""
+    if count == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    mask = keys <= np.partition(keys, count - 1, axis=1)[:, count - 1 : count]
+    for row in np.flatnonzero(mask.sum(axis=1) > count):
+        mask[row] = False
+        mask[row, np.argsort(keys[row], kind="stable")[:count]] = True
+    return mask
+
+
+def _region_margins(votes: np.ndarray, partition: Partition, dims) -> np.ndarray:
+    """Black minus White votes in every region of every row of 0/1 votes:
+    (rows, regions), from one offset bincount."""
+    n_regions = partition.region_count(dims)
+    ids = partition.labels(dims) + n_regions * np.arange(len(votes))[:, None]
+    margins = np.bincount(
+        ids.ravel(), weights=(2 * votes - 1).ravel(), minlength=ids.shape[0] * n_regions
+    )
+    return margins.reshape(-1, n_regions)
+
+
+def _white_holds(margins: np.ndarray) -> np.ndarray:
+    """Per row, whether White wins a strict plurality of the regions;
+    a tied region counts for nobody."""
+    return (margins < 0).sum(axis=1) > (margins > 0).sum(axis=1)
 
 
 def _window_sums(mask: np.ndarray, edge: int) -> np.ndarray:
-    """Sum of every edge x edge window, indexed by the window's top-left cell."""
-    t = _summed_area(mask)
-    return t[edge:, edge:] - t[:-edge, edge:] - t[edge:, :-edge] + t[:-edge, :-edge]
+    """Sum of every edge x edge window of each (rows, H, W) mask, indexed
+    by the window's top-left cell."""
+    rows, height, width = mask.shape
+    t = np.zeros((rows, height + 1, width + 1), dtype=np.int64)
+    t[:, 1:, 1:] = mask.cumsum(1).cumsum(2)
+    return t[:, edge:, edge:] - t[:, :-edge, edge:] - t[:, edge:, :-edge] + t[:, :-edge, :-edge]
 
 
-def _flag_anchors(
-    rng: np.random.Generator,
-    grid: Grid,
-    edge: int,
-    count: int,
-    black_won: np.ndarray,
-) -> tuple[tuple[int, int], ...]:
-    """Anchors biased toward white pockets inside regions Black already
-    holds, where flips cannot cost White any region. Blocks may overlap
-    (the anchor pixels are arbitrary); repeated draws are damped so the
-    union still reaches enough white cells to flip the national count.
+def _flag_anchors(rngs, white: np.ndarray, black_won: np.ndarray, edge: int, count: int):
+    """Draw count block anchors for every row of the (rows, H, W) masks
+    in lockstep, favouring white pockets inside regions Black already
+    holds, where flips cannot cost White any region. Each draw halves the
+    weights of the windows its block overlaps, so blocks may overlap but
+    repeats are damped. A row whose weights all underflow to zero stops;
+    the loop ends when every row has. Each row's generator gives its
+    uniforms FLAG_DRAW_CHUNK at a time, as single draws would.
+
+    Returns the (rows, draws, 2) anchors as (x, y), each row's union of
+    blocks as a (rows, H, W) mask, and which rows drew all count anchors.
     """
-    white = grid.votes.reshape(grid.height, grid.width) == 0
+    n, height, width = white.shape
     safe_w = _window_sums(white & black_won, edge)
     unsafe_w = _window_sums(white & ~black_won, edge)
-    weights = (safe_w + 1.0) ** 2 / (unsafe_w + 1.0)
-    n_rows, n_cols = weights.shape
-    anchors: list[tuple[int, int]] = []
-    for _ in range(count):
-        total = weights.sum()
-        if total <= 0:
-            break
-        cdf = (weights / total).ravel().cumsum()
-        cdf /= cdf[-1]  # the inverse-CDF draw rng.choice(p=weights / total) makes
-        ay, ax = divmod(int(cdf.searchsorted(rng.random(), "right")), n_cols)
-        anchors.append((ax, ay))
-        y0, y1 = max(0, ay - edge + 1), min(n_rows, ay + edge)
-        x0, x1 = max(0, ax - edge + 1), min(n_cols, ax + edge)
-        weights[y0:y1, x0:x1] *= 0.5
-    return tuple(anchors)
+    weights = ((safe_w + 1.0) ** 2 / (unsafe_w + 1.0)).reshape(n, -1)
+    n_cols = width - edge + 1
+    # near_y[a, y]: whether window row y lies within edge - 1 of row a; near_x alike
+    near_y, near_x = (
+        np.abs(np.subtract.outer(np.arange(k), np.arange(k))) < edge
+        for k in (height - edge + 1, n_cols)
+    )
+    cdf = np.empty_like(weights)
+    below = np.empty(weights.shape, dtype=bool)
+    live = np.ones(n, dtype=bool)
+    picks = []  # flat window indices, one (rows, FLAG_DRAW_CHUNK) block per refill
+    drawn = count
+    for step in range(count):
+        j = step % FLAG_DRAW_CHUNK
+        if j == 0:
+            uniforms = np.zeros((n, min(FLAG_DRAW_CHUNK, count - step)))
+            for row in np.flatnonzero(live):
+                rngs[row].random(out=uniforms[row])
+            picks.append(np.empty(uniforms.shape, dtype=np.intp))
+        total = weights.sum(axis=1)
+        dead = total <= 0
+        if dead.any():
+            live &= ~dead
+            if not live.any():
+                drawn = step
+                break
+            weights[dead] = 1.0  # placeholder draws for rows no longer read
+            total[dead] = weights.shape[1]
+        # rng.choice(p=weights / total)'s inverse-CDF draw, whose
+        # searchsorted(cdf, u, "right") is the count of cdf <= u
+        np.divide(weights, total[:, None], out=cdf)
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:]
+        np.less_equal(cdf, uniforms[:, j, None], out=below)
+        pick = picks[-1][:, j] = below.sum(axis=1)
+        ay, ax = np.divmod(pick, n_cols)
+        near = near_y[ay][:, :, None] & near_x[ax][:, None, :]
+        np.multiply(weights, 0.5, out=weights, where=near.reshape(n, -1))
+    ay, ax = np.divmod(np.concatenate(picks, axis=1)[:, :drawn], n_cols)
+    # A cell is covered when a block's anchor lies within edge - 1 above and
+    # left of it: a window sum over the anchors, padded by edge - 1.
+    anchored = np.zeros((n, height + edge - 1, width + edge - 1), dtype=bool)
+    anchored[np.arange(n)[:, None], ay + edge - 1, ax + edge - 1] = True
+    cover = _window_sums(anchored, edge) > 0
+    return np.stack([ax, ay], axis=2), cover, live
 
 
-def _apply_flag_noise(
-    grid: Grid, anchors, edge: int, rate: float, rng: np.random.Generator
-) -> tuple[Grid, int]:
-    """Flip white cells under the union of (possibly overlapping) blocks
-    with the given probability; raster order makes the draws reproducible."""
-    mask = np.zeros((grid.height, grid.width), dtype=bool)
-    for ax, ay in anchors:
-        mask[ay : ay + edge, ax : ax + edge] = True
-    votes = grid.votes.copy()
-    offered = np.flatnonzero(mask.ravel() & (votes == 0))
-    flipped = offered[rng.random(offered.size) < rate]
-    votes[flipped] = 1
-    return grid.replace_votes(votes), int(flipped.size)
+def _flag_noise(votes: np.ndarray, cover: np.ndarray, rate: float, rngs):
+    """Flip each white cell under a row's cover with the given probability,
+    each row's generator drawing for its offered cells in raster order.
+    Returns the noisy votes and each row's flip count."""
+    offered = cover.reshape(votes.shape) & (votes == 0)
+    sizes = offered.sum(axis=1).tolist()
+    flipped = np.zeros_like(offered)
+    flipped[offered] = np.concatenate([rng.random(k) for rng, k in zip(rngs, sizes)]) < rate
+    return votes + flipped, flipped.sum(axis=1)
 
 
 def _flag_search(cfg: FlagConfig):
     """Look for a clustered flag where block noise flips the national
-    winner while both regional schemes keep White."""
-    part_a, part_b = FLAG_PARTITIONS
-    for attempt in range(cfg.attempts):
-        rng = stream_rng(cfg.seed, f"flag.layout.{attempt}")
-        grid = _flag_layout(rng, cfg.width, cfg.height, cfg.black)
-        map_a, before_a = _winner_cellmap(grid, part_a)
-        if before_a.winner != 0:
-            continue
-        map_b, before_b = _winner_cellmap(grid, part_b)
-        if before_b.winner != 0:
-            continue
-        anchors = _flag_anchors(
-            rng, grid, cfg.block_edge, cfg.blocks, map_a & map_b
-        )
-        if len(anchors) != cfg.blocks:
-            continue
-        noisy, flips = _apply_flag_noise(
-            grid,
-            anchors,
-            cfg.block_edge,
-            cfg.rate,
-            stream_rng(cfg.seed, f"flag.noise.{attempt}"),
-        )
-        if tally_global(noisy).winner != 1:
-            continue
-        after_a = tally_regional(noisy, part_a)
-        after_b = tally_regional(noisy, part_b)
-        if after_a.winner != 0 or after_b.winner != 0:
-            continue
-        return {
-            "attempt": attempt,
-            "grid": grid,
-            "noisy": noisy,
-            "anchors": anchors,
-            "flips": flips,
-            "before": (tally_global(grid), before_a, before_b),
-            "after": (tally_global(noisy), after_a, after_b),
-        }
+    winner while both regional schemes keep White. Attempts are evaluated
+    FLAG_CHUNK at a time, each from its own streams, and the first success
+    is returned, so the result does not depend on the chunk size."""
+    for start in range(0, cfg.attempts, FLAG_CHUNK):
+        found = _flag_chunk(cfg, range(start, min(start + FLAG_CHUNK, cfg.attempts)))
+        if found is not None:
+            return found
     return None
+
+
+def _flag_chunk(cfg: FlagConfig, attempts: range):
+    """The first success among the given attempts, or None."""
+    dims = (cfg.width, cfg.height)
+    shape = (-1, cfg.height, cfg.width)
+    rngs = [stream_rng(cfg.seed, f"flag.layout.{a}") for a in attempts]
+    votes = _flag_layouts(rngs, cfg.width, cfg.height, cfg.black)
+    margins = [_region_margins(votes, p, dims) for p in FLAG_PARTITIONS]
+    rows = np.flatnonzero(_white_holds(margins[0]) & _white_holds(margins[1]))
+    if rows.size == 0:
+        return None
+    black_won = np.logical_and.reduce(
+        [m[rows][:, p.labels(dims)] > 0 for m, p in zip(margins, FLAG_PARTITIONS)]
+    )
+    anchors, cover, complete = _flag_anchors(
+        [rngs[r] for r in rows],
+        (votes[rows] == 0).reshape(shape),
+        black_won.reshape(shape),
+        cfg.block_edge,
+        cfg.blocks,
+    )
+    rows, anchors, cover = rows[complete], anchors[complete], cover[complete]
+    if rows.size == 0:
+        return None
+    noise_rngs = [stream_rng(cfg.seed, f"flag.noise.{attempts[r]}") for r in rows]
+    noisy, flips = _flag_noise(votes[rows], cover, cfg.rate, noise_rngs)
+    won = 2 * noisy.sum(axis=1) > noisy.shape[1]  # Black leads the national count
+    for p in FLAG_PARTITIONS:
+        won &= _white_holds(_region_margins(noisy, p, dims))
+    if not won.any():
+        return None
+    hit = int(won.argmax())
+    grid = Grid(cfg.width, cfg.height, 2, votes[rows[hit]])
+    noisy_grid = grid.replace_votes(noisy[hit])
+    return {
+        "attempt": attempts[rows[hit]],
+        "grid": grid,
+        "noisy": noisy_grid,
+        "anchors": tuple(map(tuple, anchors[hit].tolist())),
+        "flips": int(flips[hit]),
+        "before": (tally_global(grid), *(tally_regional(grid, p) for p in FLAG_PARTITIONS)),
+        "after": (
+            tally_global(noisy_grid),
+            *(tally_regional(noisy_grid, p) for p in FLAG_PARTITIONS),
+        ),
+    }
 
 
 def _flag_report_txt(cfg: FlagConfig, echo: dict, found: dict) -> str:

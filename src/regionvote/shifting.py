@@ -117,12 +117,6 @@ def _report(partition: Partition, touched: int, spec: BlockNoiseSpec) -> Contami
     )
 
 
-def contamination_report(
-    dims: GridDims, partition: Partition, spec: BlockNoiseSpec
-) -> ContaminationReport:
-    return _report(partition, len(contaminated_region_ids(dims, partition, spec)), spec)
-
-
 def sweep_partitions(
     dims: GridDims, region_edge: int, spec: BlockNoiseSpec
 ) -> tuple[ContaminationReport, ...]:

@@ -34,7 +34,7 @@ from regionvote.eigenlab import PatternGallery, run_conjecture_experiment
 from regionvote.grid import Partition
 from regionvote.noise import BlockNoiseSpec, NoiseArea, pack_blocks, random_anchor_placement
 from regionvote.seeding import stream_seed
-from regionvote.shifting import contamination_report, shift_histogram, sweep_partitions
+from regionvote.shifting import shift_histogram, sweep_partitions
 
 EXPECTED_ACCOMMODATION = (
     (656, 1167, 250),

@@ -435,6 +435,20 @@ def test_salt_pepper_script_bad_arguments_exit_2(args, message):
     assert proc.stdout == ""
 
 
+def test_salt_pepper_script_refuses_a_missing_csv_directory(tmp_path):
+    src = str(pathlib.Path(regionvote.__file__).resolve().parents[1])
+    prefix = tmp_path / "missing" / "x"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--side", "20", "--trials", "10", "--rates", "0.1",
+         "--csv", str(prefix)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "does not exist" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # refused before the curves are computed
+    assert not prefix.parent.exists()
+
+
 # Every config key at boundary values. Small attempts, trials and images
 # keep each case to milliseconds; the key under test overrides them.
 _FAST = {

@@ -1,28 +1,38 @@
-"""The flag search's array code against the per-cell code it replaced.
+"""The flag search's chunked steps against the per-cell code they replaced.
 
 The references below are the earlier implementations: the coordinate grid
-of _flag_layout built with mgrid, window sums from sliding_window_view
+of the layout built with mgrid, window sums from sliding_window_view
 and anchors drawn with rng.choice(p=...), and one rng.random() per masked
 white cell in a raster loop. Fed identically seeded generators, the
-array code must return the same grids, anchors and flips.
+chunked steps, given a chunk of one attempt, must return the same grids,
+anchors and flips. The whole search is checked against the
+one-attempt-at-a-time oracle in flag_oracles.
 """
 
 import hashlib
+import json
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+import flag_oracles
 from cell_oracles import region_of
+from regionvote import cli
 from regionvote.cli import (
-    _apply_flag_noise,
+    FlagConfig,
+    _first_cells,
     _flag_anchors,
-    _flag_layout,
-    _winner_cellmap,
+    _flag_layouts,
+    _flag_noise,
+    _flag_search,
+    _region_margins,
     main,
 )
 from regionvote.grid import Grid, Partition
+from regionvote.voting import tally_regional
 
 
 def reference_layout(rng, width, height, black):
@@ -91,17 +101,33 @@ def test_flag_steps_match_per_cell_reference(seed, width, height, edge, count, r
     setup = np.random.default_rng(seed)
     black = int(setup.integers(0, width * height + 1))
     fast, slow = twin_rngs(seed)
-    grid = _flag_layout(fast, width, height, black)
+    grid = Grid(width, height, 2, _flag_layouts([fast], width, height, black)[0])
     assert grid == reference_layout(slow, width, height, black)
     black_won = setup.random((height, width)) < 0.5
-    anchors = _flag_anchors(fast, grid, edge, count, black_won)
+    white = grid.votes.reshape(1, height, width) == 0
+    anchors, cover, complete = _flag_anchors([fast], white, black_won[None], edge, count)
+    anchors = tuple(map(tuple, anchors[0].tolist()))
     assert anchors == reference_anchors(slow, grid, edge, count, black_won)
+    assert complete.tolist() == [len(anchors) == count]
     assert fast.random() == slow.random()  # both streams advanced alike
     fast, slow = twin_rngs(seed + 1)
-    assert _apply_flag_noise(grid, anchors, edge, rate, fast) == reference_noise(
+    noisy, flips = _flag_noise(grid.votes[None], cover, rate, [fast])
+    assert (grid.replace_votes(noisy[0]), int(flips[0])) == reference_noise(
         grid, anchors, edge, rate, slow
     )
     assert fast.random() == slow.random()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_first_cells_break_ties_as_a_stable_argsort(seed, n_cells, top_key):
+    # keys from a handful of values, so ties straddle the cut in most rows
+    keys = np.random.default_rng(seed).integers(0, top_key + 1, (6, n_cells)).astype(float)
+    for count in range(n_cells + 1):
+        expected = np.zeros(keys.shape, dtype=bool)
+        for row, order in enumerate(np.argsort(keys, axis=1, kind="stable")):
+            expected[row, order[:count]] = True
+        assert (_first_cells(keys, count) == expected).all()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 3))
@@ -110,8 +136,11 @@ def test_winner_cellmap_follows_shifted_regions(seed, dx, dy):
     rng = np.random.default_rng(seed)
     grid = Grid(15, 24, 2, tuple(rng.integers(0, 2, 360).tolist()))
     partition = Partition(5, 4, dx, dy)
-    black_won, tally = _winner_cellmap(grid, partition)
     dims = (grid.width, grid.height)
+    margins = _region_margins(grid.votes[None], partition, dims)[0]
+    black_won = (margins > 0)[partition.labels(dims)].reshape(grid.height, grid.width)
+    tally = tally_regional(grid, partition)
+    assert [None if m == 0 else int(m > 0) for m in margins] == list(tally.region_winners)
     for y in range(grid.height):
         for x in range(grid.width):
             region = region_of(partition, dims, (x, y))
@@ -133,3 +162,89 @@ def test_flag_reports_are_unchanged(tmp_path):
         assert main(["flag", "--seed", str(seed), "--format", fmt, "--out", str(out)]) == 0
         body = (out / f"flag_report.{fmt}").read_bytes()
         assert hashlib.sha256(body).hexdigest() == digest, (seed, fmt)
+
+
+@given(
+    st.integers(0, 2**63 - 1),
+    st.sampled_from([(15, 12), (15, 24), (30, 12)]),
+    # Black shares around the default 153/360, where searches often succeed
+    # within the budget, and all-White, mostly- and all-Black grids: Black
+    # holds nearly every region at 0.9 and every one at 1.0, so the
+    # regional pre-check fails on every attempt
+    st.one_of(st.floats(0.38, 0.48), st.sampled_from([0.0, 0.9, 1.0])),
+    st.integers(1, 12),
+    st.integers(1, 6),
+    st.sampled_from([0.0, 0.35, 0.7, 1.0]),
+    st.integers(1, 100),
+)
+@settings(max_examples=60, deadline=None)
+def test_chunked_search_matches_one_attempt_oracle(
+    seed, dims, black_share, blocks, edge, rate, attempts
+):
+    width, height = dims
+    black = round(black_share * width * height)
+    cfg = FlagConfig(width, height, width * height - black, black, blocks, edge, rate, attempts, seed)
+    cfg.validate()
+    assert _flag_search(cfg) == flag_oracles.flag_search(cfg)
+
+
+def test_search_does_not_depend_on_chunk_sizes(monkeypatch):
+    cfgs = [FlagConfig(seed=s) for s in range(3)] + [FlagConfig(seed=5, blocks=9, attempts=40)]
+    expected = [flag_oracles.flag_search(cfg) for cfg in cfgs]
+    assert expected[0] is not None
+    for attempts_at_once, draws_at_once in ((1, 1), (5, 3), (64, 2)):
+        monkeypatch.setattr(cli, "FLAG_CHUNK", attempts_at_once)
+        monkeypatch.setattr(cli, "FLAG_DRAW_CHUNK", draws_at_once)
+        assert [_flag_search(cfg) for cfg in cfgs] == expected
+
+
+# The attempt each default-config search over seeds 0-199 succeeds at, and
+# the sha256 of every (attempt, anchors, flips, grid, noisy grid) in seed
+# order, as the one-attempt-at-a-time search (flag_oracles) finds them.
+SWEEP_ATTEMPTS = [
+    177, 63, 285, 31, 172, 41, 173, 112, 56, 23, 111, 884, 239, 18, 27, 13, 36, 42, 227,
+    18, 76, 243, 365, 296, 240, 22, 519, 221, 253, 52, 29, 20, 30, 12, 55, 208, 13, 81,
+    138, 43, 19, 63, 202, 27, 107, 149, 14, 31, 67, 400, 145, 56, 603, 145, 46, 62, 14,
+    149, 100, 169, 192, 28, 43, 42, 104, 115, 131, 120, 121, 70, 65, 258, 76, 16, 339,
+    83, 170, 220, 90, 184, 132, 48, 53, 286, 424, 52, 125, 170, 6, 90, 122, 55, 199,
+    209, 771, 58, 131, 8, 33, 252, 182, 200, 84, 8, 41, 28, 55, 311, 210, 100, 35, 601,
+    73, 10, 171, 4, 42, 69, 109, 159, 301, 191, 9, 937, 287, 211, 295, 0, 271, 83, 92,
+    15, 208, 62, 10, 137, 124, 383, 227, 132, 5, 8, 18, 86, 70, 31, 1, 51, 80, 126, 310,
+    17, 98, 240, 3, 19, 18, 10, 15, 70, 246, 107, 238, 53, 153, 327, 205, 74, 26, 201,
+    73, 244, 411, 119, 27, 450, 22, 39, 14, 173, 391, 269, 128, 80, 94, 104, 133, 78,
+    15, 67, 171, 149, 294, 179, 219, 28, 128, 52, 83, 294
+]
+SWEEP_DIGEST = "f3968b0d19dd730b38468ad9ad2297c8fe9c35f376189ade0741ae5180f6a4aa"
+
+
+def test_default_sweep_finds_the_one_attempt_results():
+    attempts, digest = [], hashlib.sha256()
+    for seed in range(200):
+        found = _flag_search(FlagConfig(seed=seed))
+        attempts.append(found["attempt"])
+        record = [
+            found["attempt"],
+            [list(a) for a in found["anchors"]],
+            found["flips"],
+            found["grid"].votes.tolist(),
+            found["noisy"].votes.tolist(),
+        ]
+        digest.update(json.dumps(record).encode())
+    assert attempts == SWEEP_ATTEMPTS
+    assert digest.hexdigest() == SWEEP_DIGEST
+
+
+def test_huge_block_count_runs_in_bounded_memory():
+    # Every attempt's weights underflow to zero long before a million draws
+    # (after 9,634 and 11,753 for the two that pass the pre-check here), so
+    # the search must stop there without a block-count-sized array.
+    cfg = FlagConfig(seed=1, blocks=1_000_000, attempts=3)
+    expected = flag_oracles.flag_search(cfg)
+    tracemalloc.start()
+    try:
+        found = _flag_search(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == expected
+    assert peak < 64 * 2**20

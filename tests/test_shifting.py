@@ -13,7 +13,6 @@ from regionvote.shifting import (
     best_partition,
     contaminated_counts,
     contaminated_region_ids,
-    contamination_report,
     shift_histogram,
     sweep_partitions,
     sweep_to_csv,
@@ -78,7 +77,11 @@ def test_zero_blocks_touch_nothing_and_pick_shift_zero():
 def test_contamination_report_fields():
     dims = (48, 48)
     spec = single_block(5, (10, 7))
-    report = contamination_report(dims, enumerate_partitions(8)[0], spec)
+    report = sweep_partitions(dims, 8, spec)[0]
+    assert report.partition == enumerate_partitions(8)[0]
+    assert report.contaminated_regions == len(
+        contaminated_region_ids(dims, report.partition, spec)
+    )
     assert report.concentrated_area == 25
     assert report.contaminated_area == report.contaminated_regions * 64
     assert report.ratio == Fraction(report.contaminated_area, 25)
