@@ -32,7 +32,7 @@ from .breakdown import (
     randomized_breakdown,
 )
 from .eigenlab import PatternGallery, run_conjecture_experiment
-from .grid import Grid, Partition, grid_to_text
+from .grid import Grid, Partition, _summed_area, grid_to_text
 from .noise import BlockNoiseSpec, PlacementInfeasibleError, random_anchor_placement
 from .seeding import stream_rng, stream_seed
 from .shifting import fewest_contaminated, shift_histogram, sweep_partitions, sweep_to_csv
@@ -387,20 +387,10 @@ def _flag_layouts(rngs, width: int, height: int, black: int) -> np.ndarray:
     dy2 = (np.arange(height)[:, None] - height * cy) ** 2
     d2 = (dx2 + dy2).min(axis=0)
     d2 = d2 + 0.35 * jitter * d2.max(axis=(1, 2), keepdims=True)
-    return _first_cells(d2.reshape(n, n_cells), black).astype(np.int64)
-
-
-def _first_cells(keys: np.ndarray, count: int) -> np.ndarray:
-    """Mask of the first count cells of each row of keys in a stable
-    argsort: every cell up to the count-th smallest key, unless ties
-    straddle that cut, where the lower indices win."""
-    if count == 0:
-        return np.zeros(keys.shape, dtype=bool)
-    mask = keys <= np.partition(keys, count - 1, axis=1)[:, count - 1 : count]
-    for row in np.flatnonzero(mask.sum(axis=1) > count):
-        mask[row] = False
-        mask[row, np.argsort(keys[row], kind="stable")[:count]] = True
-    return mask
+    first = np.argsort(d2.reshape(n, n_cells), axis=1, kind="stable")[:, :black]
+    votes = np.zeros((n, n_cells), dtype=np.int64)
+    np.put_along_axis(votes, first, 1, axis=1)
+    return votes
 
 
 def _region_margins(votes: np.ndarray, partition: Partition, dims) -> np.ndarray:
@@ -423,9 +413,7 @@ def _white_holds(margins: np.ndarray) -> np.ndarray:
 def _window_sums(mask: np.ndarray, edge: int) -> np.ndarray:
     """Sum of every edge x edge window of each (rows, H, W) mask, indexed
     by the window's top-left cell."""
-    rows, height, width = mask.shape
-    t = np.zeros((rows, height + 1, width + 1), dtype=np.int64)
-    t[:, 1:, 1:] = mask.cumsum(1).cumsum(2)
+    t = _summed_area(mask)
     return t[:, edge:, edge:] - t[:, :-edge, edge:] - t[:, edge:, :-edge] + t[:, :-edge, :-edge]
 
 

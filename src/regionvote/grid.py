@@ -186,11 +186,11 @@ def _axis_segments(
 
 
 def _summed_area(mask: np.ndarray) -> np.ndarray:
-    """Summed-area table of a 2-D array, one zero row and column in front:
-    the sum over rows y0:y1 and columns x0:x1 is
-    t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0]."""
-    table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
-    table[1:, 1:] = mask.cumsum(0).cumsum(1)
+    """Summed-area table over the last two axes of an array, one zero row
+    and column in front: the sum over rows y0:y1 and columns x0:x1 is
+    t[..., y1, x1] - t[..., y0, x1] - t[..., y1, x0] + t[..., y0, x0]."""
+    table = np.zeros(mask.shape[:-2] + (mask.shape[-2] + 1, mask.shape[-1] + 1), dtype=np.int64)
+    table[..., 1:, 1:] = mask.cumsum(-2).cumsum(-1)
     return table
 
 

@@ -9,7 +9,7 @@ order in which streams are consumed.
 A stream is the SeedSequence with the master seed as entropy and the
 stream name's sha256, as four little-endian 64-bit words, as spawn key.
 It is built from the one uint32 entropy array that SeedSequence would
-assemble from those two, which gives the same state at about two thirds
+assemble from those two, which gives the same state at about three quarters
 of the cost.
 """
 

@@ -23,7 +23,6 @@ from cell_oracles import region_of
 from regionvote import cli
 from regionvote.cli import (
     FlagConfig,
-    _first_cells,
     _flag_anchors,
     _flag_layouts,
     _flag_noise,
@@ -116,18 +115,6 @@ def test_flag_steps_match_per_cell_reference(seed, width, height, edge, count, r
         grid, anchors, edge, rate, slow
     )
     assert fast.random() == slow.random()
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 4))
-@settings(max_examples=100, deadline=None)
-def test_first_cells_break_ties_as_a_stable_argsort(seed, n_cells, top_key):
-    # keys from a handful of values, so ties straddle the cut in most rows
-    keys = np.random.default_rng(seed).integers(0, top_key + 1, (6, n_cells)).astype(float)
-    for count in range(n_cells + 1):
-        expected = np.zeros(keys.shape, dtype=bool)
-        for row, order in enumerate(np.argsort(keys, axis=1, kind="stable")):
-            expected[row, order[:count]] = True
-        assert (_first_cells(keys, count) == expected).all()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 3))
