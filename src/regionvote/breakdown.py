@@ -21,8 +21,10 @@ so the search and the sweep cannot disagree on the chosen shift.
 
 The randomized search places a chunk of trials in lockstep and
 _FastState.outcomes evaluates them together, as the greedy search does
-its prefixes. _FastState.regional_winners, with the nation as one region,
-is the one re-tally of flipped votes for every search.
+its prefixes. Every winner, national or regional, before or after the
+flips, comes from voting.winners over voting.region_counts, with the
+nation as one region. Every search first refuses a grid whose scheme
+winner is not the target, since there is nothing to overturn.
 
 Grid generation lives here too, with the margin-enforcing mode the
 regional lower bounds are stated for.
@@ -39,11 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from regionvote.bounds import round_half_up
-from regionvote.grid import Grid, GridDims, Partition, _axis_segments, _summed_area
-from regionvote.grid import enumerate_partitions
+from regionvote.grid import Grid, GridDims, Partition, _axis_pieces, _axis_segments
+from regionvote.grid import _summed_area, enumerate_partitions
 from regionvote.noise import BlockNoiseSpec, _place_disjoint_blocks, block_capacity
-from regionvote.shifting import best_partition, contaminated_counts
-from regionvote.voting import Winner, _region_counts, tally_global, tally_regional
+from regionvote.shifting import _anchor_arrays, contaminated_counts
+from regionvote.voting import Winner, region_counts, tally_global, tally_regional, winners
 
 
 class InfeasibleMarginError(ValueError):
@@ -166,8 +168,9 @@ class BestShiftScheme:
     """Regional voting after re-partitioning to dodge the noise blocks.
 
     The defender sweeps every shift of the square partition, keeps the
-    one touching the fewest regions (ties to the lexicographically
-    smallest offset), and tallies under it.
+    one touching the fewest regions (ties to the first in
+    enumerate_partitions order, the lexicographically smallest offset),
+    and tallies under it.
     """
 
     region_edge: int
@@ -197,8 +200,20 @@ def scheme_winner(noisy: Grid, scheme: Scheme, spec: BlockNoiseSpec | None = Non
         return tally_regional(noisy, scheme.partition).winner
     if spec is None:
         raise ValueError("best-shift evaluation needs the noise block spec")
-    chosen = best_partition((noisy.width, noisy.height), scheme.region_edge, spec).partition
-    return tally_regional(noisy, chosen).winner
+    dims = (noisy.width, noisy.height)
+    Partition.square(scheme.region_edge).validate_for(dims)
+    spec.validate_bounds(dims)
+    touched = contaminated_counts(dims, scheme.region_edge, *_anchor_arrays(spec), spec.block_edge)
+    return tally_regional(noisy, enumerate_partitions(scheme.region_edge)[touched.argmin()]).winner
+
+
+def _check_target_leads(grid: Grid, scheme: Scheme, target: int, flip_to: int) -> None:
+    """Refuse a grid whose scheme winner is not the target: no flip away from
+    the target can overturn it. Best shift tallies under the shift an empty
+    block spec leaves, the first."""
+    base_winner = scheme_winner(grid, scheme, BlockNoiseSpec(1, (), target, flip_to))
+    if base_winner != target:
+        raise ValueError(f"grid winner is {base_winner}, expected target {target}")
 
 
 @dataclass(frozen=True)
@@ -260,10 +275,7 @@ def exhaustive_breakdown(
         raise ValueError("exhaustive search enumerates bare flip sets; "
                          "best-shift needs block geometry")
     budget = grid.n_cells // 4 if flip_budget is None else flip_budget
-    base_winner = scheme_winner(grid, scheme)
-    if base_winner != target:
-        raise ValueError(f"grid winner is {base_winner}, expected target {target}")
-
+    _check_target_leads(grid, scheme, target, flip_to)
     if isinstance(scheme, GlobalScheme):
         return _exhaustive_global(grid, budget, target, flip_to)
     return _exhaustive_regional(grid, scheme.partition, budget, target, flip_to)
@@ -358,8 +370,10 @@ class _FastState:
     def region_counts(self, partitions: tuple[Partition, ...]) -> np.ndarray:
         """(candidates, partitions, regions) int32 vote counts, cached."""
         if partitions not in self._counts_cache:
-            self._counts_cache[partitions] = np.stack([
-                _region_counts(self.votes, p, self.dims, self.candidates).T for p in partitions
+            # one call per partition: stacking their label rows raises peak memory
+            self._counts_cache[partitions] = np.concatenate([
+                region_counts(self.votes, p.labels(self.dims), p.region_count(self.dims),
+                              self.candidates) for p in partitions
             ], axis=1).astype(np.int32, order="C")
         return self._counts_cache[partitions]
 
@@ -389,9 +403,9 @@ class _FastState:
         return flipped.sum(axis=1, dtype=np.int64), winners, shifts
 
     def _fewest_contaminated(self, region_edge, trial, ax, ay, edge, n) -> np.ndarray:
-        """Each trial's shift touching the fewest regions, as shifting.best_partition
-        picks it, counted in sub-batches of trials under _SUB_BATCH_BYTES."""
-        per_trial = 8 * region_edge**2 * ((edge - 2) // region_edge + 2) ** 2
+        """Each trial's shift touching the fewest regions, as scheme_winner picks
+        it, counted in sub-batches of trials under _SUB_BATCH_BYTES."""
+        per_trial = 8 * region_edge**2 * _axis_pieces(edge, region_edge) ** 2
         step = max(1, _SUB_BATCH_BYTES // (per_trial * max(1, -(-trial.size // max(n, 1)))))
         cuts = np.searchsorted(trial, np.arange(0, n + step, step))
         return np.concatenate([np.zeros(0, dtype=np.intp)] + [
@@ -404,15 +418,11 @@ class _FastState:
 
     def regional_winners(self, partitions, shifts, flips) -> np.ndarray:
         """Winner, -1 for a tie, of each trial t once flips[t, r] target votes of
-        region r flip under partitions[shifts[t]]: the one re-tally of flipped
-        region counts. Strict plurality in each region, then of regions won."""
+        region r flip under partitions[shifts[t]], as voting.winners tallies it."""
         counts = self.region_counts(partitions)[:, shifts]
         counts[self.target] -= flips
         counts[self.flip_to] += flips
-        lead = counts == counts.max(axis=0)
-        won = (lead & (lead.sum(axis=0, dtype=np.int32) == 1)).sum(axis=2)
-        top = won == won.max(axis=0)
-        return np.where(top.sum(axis=0) == 1, top.argmax(axis=0), -1)
+        return winners(counts)
 
 
 def _partitions(scheme: Scheme, dims: GridDims) -> tuple[Partition, ...]:
@@ -476,14 +486,12 @@ def randomized_breakdown(
             f"block_counts lo {lo} exceeds the {capacity} disjoint "
             f"{block_edge}x{block_edge} blocks a {grid.width}x{grid.height} grid holds"
         )
-    base_winner = scheme_winner(grid, scheme, BlockNoiseSpec(block_edge, (), target, flip_to))
-    if base_winner != target:
-        raise ValueError(f"grid winner is {base_winner}, expected target {target}")
+    _check_target_leads(grid, scheme, target, flip_to)
     state = _FastState(grid, target, flip_to)
     rng = np.random.default_rng(seed)
     partitions = _partitions(scheme, state.dims)
     rw, rh = partitions[0].region_width, partitions[0].region_height
-    pieces = ((block_edge - 2) // rw + 2) * ((block_edge - 2) // rh + 2)
+    pieces = _axis_pieces(block_edge, rw) * _axis_pieces(block_edge, rh)
     most = max(1, _TRIAL_CHUNK_BYTES // max(  # a trial's blocked mask, pieces, region counts
         (grid.width + block_edge) * (grid.height + block_edge),
         8 * min(hi, capacity) * pieces, 4 * state.candidates * grid.n_cells // (rw * rh)))
@@ -527,9 +535,11 @@ def greedy_block_breakdown(
     """Tile aligned blocks in raster order until the winner flips.
 
     Deterministic; useful as a reference achieving the national breakdown
-    within one block of flips. A block edge the grid cannot hold is refused.
+    within one block of flips. A block edge the grid cannot hold, or a grid
+    the target does not lead, is refused.
     """
     _check_block_edge(grid, block_edge)
+    _check_target_leads(grid, scheme, target, flip_to)
     state = _FastState(grid, target, flip_to)
     width, height = state.dims
     ys, xs = np.mgrid[0:height - block_edge + 1:block_edge, 0:width - block_edge + 1:block_edge]

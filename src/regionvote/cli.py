@@ -36,7 +36,7 @@ from .grid import Grid, Partition, _summed_area, grid_to_text
 from .noise import BlockNoiseSpec, PlacementInfeasibleError, random_anchor_placement
 from .seeding import stream_rng, stream_seed
 from .shifting import fewest_contaminated, shift_histogram, sweep_partitions, sweep_to_csv
-from .voting import tally_global, tally_regional
+from .voting import region_counts, tally_global, tally_regional, winners
 
 # Stability-margin and shifting-gain tables for the default configuration,
 # frozen from the closed-form bounds at N=10000. cmd_bounds recomputes the
@@ -393,23 +393,6 @@ def _flag_layouts(rngs, width: int, height: int, black: int) -> np.ndarray:
     return votes
 
 
-def _region_margins(votes: np.ndarray, partition: Partition, dims) -> np.ndarray:
-    """Black minus White votes in every region of every row of 0/1 votes:
-    (rows, regions), from one offset bincount."""
-    n_regions = partition.region_count(dims)
-    ids = partition.labels(dims) + n_regions * np.arange(len(votes))[:, None]
-    margins = np.bincount(
-        ids.ravel(), weights=(2 * votes - 1).ravel(), minlength=ids.shape[0] * n_regions
-    )
-    return margins.reshape(-1, n_regions)
-
-
-def _white_holds(margins: np.ndarray) -> np.ndarray:
-    """Per row, whether White wins a strict plurality of the regions;
-    a tied region counts for nobody."""
-    return (margins < 0).sum(axis=1) > (margins > 0).sum(axis=1)
-
-
 def _window_sums(mask: np.ndarray, edge: int) -> np.ndarray:
     """Sum of every edge x edge window of each (rows, H, W) mask, indexed
     by the window's top-left cell."""
@@ -508,12 +491,13 @@ def _flag_chunk(cfg: FlagConfig, attempts: range):
     shape = (-1, cfg.height, cfg.width)
     rngs = [stream_rng(cfg.seed, f"flag.layout.{a}") for a in attempts]
     votes = _flag_layouts(rngs, cfg.width, cfg.height, cfg.black)
-    margins = [_region_margins(votes, p, dims) for p in FLAG_PARTITIONS]
-    rows = np.flatnonzero(_white_holds(margins[0]) & _white_holds(margins[1]))
+    counts = [region_counts(votes, p.labels(dims), p.region_count(dims), 2)
+              for p in FLAG_PARTITIONS]
+    rows = np.flatnonzero((winners(counts[0]) == 0) & (winners(counts[1]) == 0))
     if rows.size == 0:
         return None
     black_won = np.logical_and.reduce(
-        [m[rows][:, p.labels(dims)] > 0 for m, p in zip(margins, FLAG_PARTITIONS)]
+        [(c[1] > c[0])[rows][:, p.labels(dims)] for c, p in zip(counts, FLAG_PARTITIONS)]
     )
     anchors, cover, complete = _flag_anchors(
         [rngs[r] for r in rows],
@@ -528,8 +512,8 @@ def _flag_chunk(cfg: FlagConfig, attempts: range):
     noise_rngs = [stream_rng(cfg.seed, f"flag.noise.{attempts[r]}") for r in rows]
     noisy, flips = _flag_noise(votes[rows], cover, cfg.rate, noise_rngs)
     won = 2 * noisy.sum(axis=1) > noisy.shape[1]  # Black leads the national count
-    for p in FLAG_PARTITIONS:
-        won &= _white_holds(_region_margins(noisy, p, dims))
+    for p in FLAG_PARTITIONS:  # White holds each regional scheme
+        won &= winners(region_counts(noisy, p.labels(dims), p.region_count(dims), 2)) == 0
     if not won.any():
         return None
     hit = int(won.argmax())

@@ -158,15 +158,22 @@ class Partition:
         return labels
 
 
+def _axis_pieces(extent: int, region_edge: int) -> int:
+    """K = ceil((extent - 1) / region_edge) + 1: the pieces, on one axis, that
+    _axis_regions cuts a block of the given extent into, whatever its shift."""
+    return (extent - 2) // region_edge + 2
+
+
 def _axis_regions(
     anchors: np.ndarray, extent: int, shift: int | np.ndarray, axis_cells: int, region_edge: int
 ) -> np.ndarray:
     """Region index, on one axis, of each piece of a block cut at region
-    boundaries, on a new first axis of K = ceil((extent - 1) / region_edge) + 1.
+    boundaries, on a new first axis of K = _axis_pieces(extent, region_edge).
     Piece j holds the cell at offset min(j * region_edge, extent - 1) from the
     block's first cell, so a piece past the block's end repeats the last
     piece's region. anchors and shift broadcast against each other."""
-    offsets = np.array([*range(0, extent - 1, region_edge), extent - 1], dtype=np.int32)
+    pieces = np.arange(_axis_pieces(extent, region_edge), dtype=np.int32)
+    offsets = np.minimum(pieces * region_edge, extent - 1)
     return np.add.outer(offsets, anchors + shift) % axis_cells // region_edge
 
 

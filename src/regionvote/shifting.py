@@ -9,15 +9,16 @@ regionvote.bounds.
 
 One kernel, touched_regions, says which regions every block touches
 under a whole vector of shifts at once, for any block edge, from the
-region lattice arithmetic alone. A single partition's contaminated set,
-the sweep over all shifts, the best shift and the block searches'
-chooser, which counts many trials at once (regionvote.breakdown), all go
-through it, so a sweep costs O(shifts * blocks * K^2), with K pieces per
-block and axis, and scans no cells. It names each piece's region with
-grid._axis_regions, the formula the block searches sum a block's flips
-by, so the regions a block touches and the regions it flips votes in are
-counted alike. The brute-force cell scan lives in the tests as the
-independent oracle.
+region lattice arithmetic alone. contaminated_counts counts them for
+every shift, and its argmin is the one shift chooser: the sweep, the
+best-shift scheme's tally (breakdown.scheme_winner) and the block
+searches, which count many trials at once, all take the first shift
+touching the fewest regions. A sweep costs O(shifts * blocks * K^2),
+with K = grid._axis_pieces pieces per block and axis, and scans no
+cells. It names each piece's region with grid._axis_regions, the
+formula the block searches sum a block's flips by, so the regions a
+block touches and the regions it flips votes in are counted alike. The
+brute-force cell scan lives in the tests as the independent oracle.
 """
 
 from __future__ import annotations
@@ -89,20 +90,6 @@ def _anchor_arrays(spec: BlockNoiseSpec) -> np.ndarray:
     return np.array(spec.anchors, dtype=np.int64).reshape(-1, 2).T
 
 
-def contaminated_region_ids(
-    dims: GridDims, partition: Partition, spec: BlockNoiseSpec
-) -> frozenset[int]:
-    """Indices of regions intersecting at least one noise block."""
-    partition.validate_for(dims)
-    spec.validate_bounds(dims)
-    ids = touched_regions(
-        dims, partition.region_width, partition.region_height,
-        np.array([partition.dx]), np.array([partition.dy]),
-        *_anchor_arrays(spec), spec.block_edge,
-    )
-    return frozenset(ids[0].tolist())
-
-
 def _report(partition: Partition, touched: int, spec: BlockNoiseSpec) -> ContaminationReport:
     contaminated_area = touched * partition.region_width * partition.region_height
     concentrated = spec.concentrated_area()
@@ -134,13 +121,6 @@ def fewest_contaminated(reports: tuple[ContaminationReport, ...]) -> Contaminati
     """The report touching the fewest regions; ties go to the first, which
     in sweep order is the lexicographically smallest (dx, dy)."""
     return min(reports, key=lambda r: r.contaminated_regions)
-
-
-def best_partition(
-    dims: GridDims, region_edge: int, spec: BlockNoiseSpec
-) -> ContaminationReport:
-    """The sweep's report touching the fewest regions, as fewest_contaminated picks it."""
-    return fewest_contaminated(sweep_partitions(dims, region_edge, spec))
 
 
 def shift_histogram(reports: tuple[ContaminationReport, ...]) -> dict[int, int]:

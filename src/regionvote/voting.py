@@ -5,6 +5,9 @@ elects a winner inside each region of a partition, then elects the
 candidate winning a strict plurality of regions. Ties are counted for
 nobody at both levels: a tied region contributes to no candidate's
 region total, and a tied top level yields winner None.
+
+Every regional winner in the package, from one tally to the searches'
+re-tallies of many noisy trials, comes from region_counts and winners.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from regionvote.grid import Grid, GridDims, Partition
+from regionvote.grid import Grid, Partition
 
 Winner = int | None
 
@@ -25,22 +28,33 @@ def plurality_winner(counts: tuple[int, ...] | list[int]) -> Winner:
     return leaders[0] if len(leaders) == 1 else None
 
 
-def _strict_winners(counts: np.ndarray) -> np.ndarray:
-    """Strict plurality of each row of a (regions, candidates) array, -1 on a tie."""
-    top = np.sort(counts, axis=1)
-    unique = top[:, -1] > top[:, -2] if counts.shape[1] > 1 else True
-    return np.where(unique, counts.argmax(axis=1), -1)
+def region_counts(votes: np.ndarray, labels: np.ndarray, n_regions: int, candidates: int):
+    """(candidates, rows, regions) vote counts of each row of flat votes under
+    the matching row of region labels, from one offset bincount. A single row
+    of either broadcasts against many rows of the other."""
+    votes, labels = np.atleast_2d(votes, labels)
+    rows = max(len(votes), len(labels))
+    ids = (votes * rows + np.arange(rows)[:, None]) * n_regions + labels
+    counts = np.bincount(ids.ravel(), minlength=candidates * rows * n_regions)
+    return counts.reshape(candidates, rows, n_regions)
 
 
-def _regions_won(winners: np.ndarray, candidates: int) -> np.ndarray:
-    return np.bincount(winners + 1, minlength=candidates + 1)[1:]
+def _sole_leaders(counts: np.ndarray) -> np.ndarray:
+    """Whether each entry is the strict maximum along the first axis."""
+    lead = counts == counts.max(axis=0)
+    return lead & (lead.sum(axis=0, dtype=np.int32) == 1)
 
 
-def _region_counts(votes: np.ndarray, partition: Partition, dims: GridDims, c: int):
-    """(regions, candidates) vote counts of a flat row-major vote array."""
-    n_regions = partition.region_count(dims)
-    counts = np.bincount(partition.labels(dims) * c + votes, minlength=n_regions * c)
-    return counts.reshape(n_regions, c)
+def _leader_index(sole: np.ndarray) -> np.ndarray:
+    """Index along the first axis of each sole leader, -1 where there is none."""
+    return np.where(sole.any(axis=0), sole.argmax(axis=0), -1)
+
+
+def winners(counts: np.ndarray) -> np.ndarray:
+    """Winner of each row of (candidates, rows, regions) counts, -1 on a tie:
+    the strict plurality of regions won, a region going to its strict
+    plurality and a tied region to nobody."""
+    return _leader_index(_sole_leaders(_sole_leaders(counts).sum(axis=2)))
 
 
 @dataclass(frozen=True)
@@ -77,15 +91,17 @@ def tally_global(grid: Grid) -> GlobalTally:
 
 def tally_regional(grid: Grid, partition: Partition) -> RegionalTally:
     """Per-region strict plurality, then strict plurality of won regions."""
-    c = grid.candidate_count
-    counts = _region_counts(grid.votes, partition, (grid.width, grid.height), c)
-    winners = _strict_winners(counts)
-    regions_won = _regions_won(winners, c).tolist()
+    dims = (grid.width, grid.height)
+    counts = region_counts(
+        grid.votes, partition.labels(dims), partition.region_count(dims), grid.candidate_count
+    )
+    sole = _sole_leaders(counts)[:, 0]
+    regions_won = sole.sum(axis=1).tolist()
+    winner = int(winners(counts)[0])
     return RegionalTally(
         partition=partition,
-        region_winners=tuple(None if w < 0 else w for w in winners.tolist()),
+        region_winners=tuple(None if w < 0 else w for w in _leader_index(sole).tolist()),
         regions_won=tuple(regions_won),
-        tie_regions=len(winners) - sum(regions_won),
-        winner=plurality_winner(regions_won),
+        tie_regions=sole.shape[1] - sum(regions_won),
+        winner=None if winner < 0 else winner,
     )
-

@@ -24,7 +24,7 @@ from regionvote.noise import (
     apply_block_noise,
     random_anchor_placement,
 )
-from regionvote.shifting import best_partition
+from regionvote.shifting import fewest_contaminated, sweep_partitions
 from regionvote.voting import plurality_winner, tally_global, tally_regional
 
 
@@ -215,6 +215,6 @@ def test_batched_outcomes_match_noisy_tallies(seed, rw, rh, cols, rows, candidat
             elif isinstance(scheme, RegionalScheme):
                 assert shifts[t] == 0 and winners[t] == tally_regional(noisy, partition).winner
             else:
-                chosen = best_partition((width, height), rw, spec).partition
+                chosen = fewest_contaminated(sweep_partitions((width, height), rw, spec)).partition
                 assert enumerate_partitions(rw)[shifts[t]] == chosen
                 assert winners[t] == tally_regional(noisy, chosen).winner

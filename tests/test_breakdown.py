@@ -29,7 +29,7 @@ from regionvote.breakdown import (
 from regionvote.grid import Grid, Partition
 from regionvote.noise import apply_block_noise
 from regionvote.seeding import stream_seed
-from regionvote.shifting import best_partition
+from regionvote.shifting import fewest_contaminated, sweep_partitions
 from regionvote.voting import tally_global, tally_regional
 
 
@@ -247,7 +247,7 @@ def test_randomized_best_shift_witness_replays():
     if result.found:
         noisy, report = apply_block_noise(g, result.witness)
         assert report.flipped_cells == result.min_flips
-        best = best_partition((20, 20), 5, result.witness)
+        best = fewest_contaminated(sweep_partitions((20, 20), 5, result.witness))
         w = tally_regional(noisy, best.partition).winner
         assert w is not None and w != 0
 
@@ -303,6 +303,20 @@ def test_greedy_regional_finds_overturn_on_margin_grid():
     noisy, report = apply_block_noise(g, result.witness)
     assert report.flipped_cells == result.min_flips
     assert tally_regional(noisy, Partition.square(5)).winner == 1
+
+
+@pytest.mark.parametrize("a_frac", [0.4, 0.5])  # the rival leads 22/14; a national tie
+@pytest.mark.parametrize(
+    "scheme", [GlobalScheme(), RegionalScheme(Partition.square(3)), BestShiftScheme(3)]
+)
+def test_greedy_demands_target_held_base(a_frac, scheme):
+    # the breakdown subcommand's default grid at seed 0, where the greedy
+    # search used to report a one-flip overturn of a target that never led
+    seed = stream_seed(0, "breakdown.grid")
+    g = generate_grid(GridGenSpec(6, 6, a_frac, "uniform_random", seed=seed))
+    expected = 1 if a_frac < 0.5 else None
+    with pytest.raises(ValueError, match=f"grid winner is {expected}, expected target 0"):
+        greedy_block_breakdown(g, scheme, block_edge=1)
 
 
 def test_salt_pepper_threshold_curves_paired():

@@ -494,6 +494,10 @@ _MUST_EXIT_2 = [
     ("breakdown", {"search": "greedy", "block_edge": "0"}),
     ("breakdown", {"search": "greedy", "block_edge": "7"}),
     ("breakdown", {"budget": "-7"}),
+    # the target does not lead: the rival holds 22 of 36 cells, or a national tie
+    ("breakdown", {"a_frac": "0.4", "search": "greedy"}),
+    ("breakdown", {"a_frac": "0.4", "search": "greedy", "scheme": "best_shift"}),
+    ("breakdown", {"a_frac": "0.5", "search": "greedy"}),
     # 6x6 holds 36 disjoint 1x1 blocks: 37 can never be placed
     ("breakdown", {"search": "randomized", "blocks_lo": "37", "blocks_hi": "40"}),
     # 6,400 regions: the exact regional search's table would take 655 MB

@@ -27,11 +27,10 @@ from regionvote.cli import (
     _flag_layouts,
     _flag_noise,
     _flag_search,
-    _region_margins,
     main,
 )
 from regionvote.grid import Grid, Partition
-from regionvote.voting import tally_regional
+from regionvote.voting import region_counts, tally_regional
 
 
 def reference_layout(rng, width, height, black):
@@ -124,10 +123,13 @@ def test_winner_cellmap_follows_shifted_regions(seed, dx, dy):
     grid = Grid(15, 24, 2, tuple(rng.integers(0, 2, 360).tolist()))
     partition = Partition(5, 4, dx, dy)
     dims = (grid.width, grid.height)
-    margins = _region_margins(grid.votes[None], partition, dims)[0]
-    black_won = (margins > 0)[partition.labels(dims)].reshape(grid.height, grid.width)
+    labels = partition.labels(dims)
+    white, black = region_counts(grid.votes, labels, partition.region_count(dims), 2)[:, 0]
+    black_won = (black > white)[labels].reshape(grid.height, grid.width)
     tally = tally_regional(grid, partition)
-    assert [None if m == 0 else int(m > 0) for m in margins] == list(tally.region_winners)
+    assert [None if w == b else int(b > w) for w, b in zip(white, black)] == list(
+        tally.region_winners
+    )
     for y in range(grid.height):
         for x in range(grid.width):
             region = region_of(partition, dims, (x, y))

@@ -10,9 +10,8 @@ from regionvote.bounds import best_shift_ratio_ceiling, fixed_partition_ratio_ce
 from regionvote.grid import Partition, enumerate_partitions
 from regionvote.noise import BlockNoiseSpec, PlacementInfeasibleError, random_anchor_placement
 from regionvote.shifting import (
-    best_partition,
     contaminated_counts,
-    contaminated_region_ids,
+    fewest_contaminated,
     shift_histogram,
     sweep_partitions,
     sweep_to_csv,
@@ -22,6 +21,19 @@ from regionvote.shifting import (
 
 def single_block(edge, anchor=(0, 0)):
     return BlockNoiseSpec(block_edge=edge, anchors=(anchor,), target=0, flip_to=1)
+
+
+def anchor_arrays(spec):
+    return np.array(spec.anchors, dtype=np.int64).reshape(-1, 2).T
+
+
+def contaminated_ids(dims, partition, spec):
+    """The regions spec's blocks touch under one partition, via touched_regions."""
+    ids = touched_regions(
+        dims, partition.region_width, partition.region_height,
+        np.array([partition.dx]), np.array([partition.dy]), *anchor_arrays(spec), spec.block_edge,
+    )
+    return frozenset(ids[0].tolist())
 
 
 @given(
@@ -34,7 +46,7 @@ def test_geometric_contamination_matches_cell_scan(noise_edge, region_edge, seed
     dims = (24, 24)
     spec = random_anchor_placement(dims, noise_edge, 3, seed=seed)
     for partition in enumerate_partitions(region_edge):
-        geometric = contaminated_region_ids(dims, partition, spec)
+        geometric = contaminated_ids(dims, partition, spec)
         assert geometric == scan_contaminated(dims, partition, spec)
 
 
@@ -53,10 +65,11 @@ def test_touched_regions_match_cell_scan(region, relation, seed, extra, blocks):
         spec = random_anchor_placement(dims, edge, blocks, seed=seed)
     except PlacementInfeasibleError:
         assume(False)
-    ax, ay = np.array(spec.anchors, dtype=np.int64).reshape(-1, 2).T
+    ax, ay = anchor_arrays(spec)
     dx, dy = np.divmod(np.arange(rw * rh), rh)
     ids = touched_regions(dims, rw, rh, dx, dy, ax, ay, edge)
-    assert ids.shape[0] == rw * rh
+    pieces = [-(-(edge - 1) // e) + 1 for e in (rw, rh)]  # ceil((edge - 1) / e) + 1 per axis
+    assert ids.shape == (rw * rh, len(spec.anchors) * pieces[0] * pieces[1])
     for row, sx, sy in zip(ids.tolist(), dx.tolist(), dy.tolist()):
         assert set(row) == scan_contaminated(dims, Partition(rw, rh, sx, sy), spec)
     if rw == rh:
@@ -70,8 +83,8 @@ def test_zero_blocks_touch_nothing_and_pick_shift_zero():
     spec = BlockNoiseSpec(block_edge=5, anchors=(), target=0, flip_to=1)
     reports = sweep_partitions(dims, 4, spec)
     assert [r.contaminated_regions for r in reports] == [0] * 16
-    assert best_partition(dims, 4, spec).partition == Partition.square(4)
-    assert contaminated_region_ids(dims, Partition(4, 3, 1, 2), spec) == frozenset()
+    assert fewest_contaminated(reports).partition == Partition.square(4)
+    assert contaminated_ids(dims, Partition(4, 3, 1, 2), spec) == frozenset()
 
 
 def test_contamination_report_fields():
@@ -79,9 +92,7 @@ def test_contamination_report_fields():
     spec = single_block(5, (10, 7))
     report = sweep_partitions(dims, 8, spec)[0]
     assert report.partition == enumerate_partitions(8)[0]
-    assert report.contaminated_regions == len(
-        contaminated_region_ids(dims, report.partition, spec)
-    )
+    assert report.contaminated_regions == len(contaminated_ids(dims, report.partition, spec))
     assert report.concentrated_area == 25
     assert report.contaminated_area == report.contaminated_regions * 64
     assert report.ratio == Fraction(report.contaminated_area, 25)
@@ -115,7 +126,10 @@ def test_best_partition_is_minimal_and_lex_first():
         block_edge=5, anchors=((3, 3), (20, 11), (37, 30)), target=0, flip_to=1
     )
     reports = sweep_partitions(dims, 8, spec)
-    best = best_partition(dims, 8, spec)
+    best = fewest_contaminated(reports)
+    # the chooser scheme_winner and the block searches use
+    touched = contaminated_counts(dims, 8, *anchor_arrays(spec), 5)
+    assert enumerate_partitions(8)[touched.argmin()] == best.partition
     fewest = min(r.contaminated_regions for r in reports)
     assert best.contaminated_regions == fewest
     ties = [

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,9 +7,12 @@ from cell_oracles import region_of
 from regionvote.grid import Grid, Partition
 from regionvote.voting import (
     RegionalTally,
+    _sole_leaders,
     plurality_winner,
+    region_counts,
     tally_global,
     tally_regional,
+    winners,
 )
 
 
@@ -172,3 +176,54 @@ def test_tally_regional_counts_ties_at_both_levels():
     assert tally.winner is None
     shifted = tally_regional(grid, Partition(2, 1, dx=1))
     assert shifted == reference_tally_regional(grid, Partition(2, 1, dx=1))
+
+
+@st.composite
+def vote_rows_and_shifts(draw):
+    """Rows of votes on one grid, and shifts of one rectangular partition."""
+    rw, rh = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    width, height = rw * draw(st.integers(1, 4)), rh * draw(st.integers(1, 4))
+    candidates = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(1, 3))
+    votes = draw(st.lists(st.integers(0, candidates - 1), min_size=n_rows * width * height,
+                          max_size=n_rows * width * height))
+    shifts = draw(st.lists(st.tuples(st.integers(0, rw - 1), st.integers(0, rh - 1)),
+                           min_size=1, max_size=4))
+    partitions = [Partition(rw, rh, dx, dy) for dx, dy in shifts]
+    return (width, height), candidates, np.array(votes).reshape(n_rows, -1), partitions
+
+
+def every_region_ties(partition, dims):
+    """Votes alternating 0, 1 within each region: an even-area region ties."""
+    labels = partition.labels(dims)
+    row = np.zeros(labels.size, dtype=np.int64)
+    for region in range(partition.region_count(dims)):
+        cells = np.flatnonzero(labels == region)
+        row[cells] = np.arange(cells.size) % 2
+    return row
+
+
+@given(vote_rows_and_shifts())
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_per_cell_reference_in_both_broadcasts(case):
+    dims, candidates, votes, partitions = case
+    first = partitions[0]
+    n_regions = first.region_count(dims)
+    tie_row = candidates > 1 and first.region_width * first.region_height % 2 == 0
+    if tie_row:
+        votes = np.vstack([votes, every_region_ties(first, dims)])
+    # many vote rows under one label row, then one vote row under each shift's labels
+    many_votes = region_counts(votes, first.labels(dims), n_regions, candidates)
+    labels = np.array([p.labels(dims) for p in partitions])
+    many_shifts = region_counts(votes[-1], labels, n_regions, candidates)
+    assert many_votes.shape == (candidates, len(votes), n_regions)
+    assert many_shifts.shape == (candidates, len(partitions), n_regions)
+    if tie_row:
+        assert not _sole_leaders(many_votes)[:, -1].any() and winners(many_votes)[-1] == -1
+    cases = [(row, first) for row in votes] + [(votes[-1], p) for p in partitions]
+    counts = np.concatenate([many_votes, many_shifts], axis=1)
+    won = _sole_leaders(counts).sum(axis=2).T
+    for (row, partition), row_won, winner in zip(cases, won, winners(counts)):
+        ref = reference_tally_regional(Grid(*dims, candidates, row), partition)
+        assert winner == (-1 if ref.winner is None else ref.winner)
+        assert tuple(row_won.tolist()) == ref.regions_won
