@@ -23,7 +23,6 @@ from regionvote.noise import (
     PackResult,
     PlacementInfeasibleError,
     apply_block_noise,
-    orthomeasure,
     pack_blocks,
     random_anchor_placement,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "PlacementInfeasibleError",
     "apply_block_noise",
     "random_anchor_placement",
-    "orthomeasure",
     "pack_blocks",
     "GlobalTally",
     "RegionalTally",

@@ -44,7 +44,7 @@ from regionvote.bounds import round_half_up
 from regionvote.grid import Grid, GridDims, Partition, _axis_pieces, _axis_segments
 from regionvote.grid import _summed_area, enumerate_partitions
 from regionvote.noise import BlockNoiseSpec, _place_disjoint_blocks, block_capacity
-from regionvote.shifting import _anchor_arrays, contaminated_counts
+from regionvote.shifting import _SUB_BATCH_BYTES, _anchor_arrays, contaminated_counts
 from regionvote.voting import Winner, region_counts, tally_global, tally_regional, winners
 
 
@@ -385,8 +385,10 @@ class _FastState:
         gather counts the pieces' target cells, one bincount sums them per
         (trial, region)."""
         partitions = _partitions(scheme, self.dims)
-        shifts = (self._fewest_contaminated(scheme.region_edge, trial, ax, ay, edge, n)
-                  if isinstance(scheme, BestShiftScheme) else np.zeros(n, dtype=np.intp))
+        shifts = np.zeros(n, dtype=np.intp)
+        if isinstance(scheme, BestShiftScheme):  # the shift scheme_winner picks
+            counts = contaminated_counts(self.dims, scheme.region_edge, ax, ay, edge, trial, n)
+            shifts = counts.argmin(axis=1)
         (width, height), first, shift = self.dims, partitions[0], shifts[trial]
         dx, dy = np.array([(p.dx, p.dy) for p in partitions], dtype=np.int32)[shift].T
         x0, x1, col = _axis_segments(ax, edge, dx, width, first.region_width)
@@ -401,20 +403,6 @@ class _FastState:
         flipped = flipped.astype(np.int32).reshape(n, n_regions)
         winners = self.regional_winners(partitions, shifts, flipped)
         return flipped.sum(axis=1, dtype=np.int64), winners, shifts
-
-    def _fewest_contaminated(self, region_edge, trial, ax, ay, edge, n) -> np.ndarray:
-        """Each trial's shift touching the fewest regions, as scheme_winner picks
-        it, counted in sub-batches of trials under _SUB_BATCH_BYTES."""
-        per_trial = 8 * region_edge**2 * _axis_pieces(edge, region_edge) ** 2
-        step = max(1, _SUB_BATCH_BYTES // (per_trial * max(1, -(-trial.size // max(n, 1)))))
-        cuts = np.searchsorted(trial, np.arange(0, n + step, step))
-        return np.concatenate([np.zeros(0, dtype=np.intp)] + [
-            contaminated_counts(
-                self.dims, region_edge, ax[lo:hi], ay[lo:hi], edge,
-                trial[lo:hi] - start, min(step, n - start),
-            ).argmin(axis=1)
-            for start, lo, hi in zip(range(0, n, step), cuts, cuts[1:])
-        ])
 
     def regional_winners(self, partitions, shifts, flips) -> np.ndarray:
         """Winner, -1 for a tie, of each trial t once flips[t, r] target votes of
@@ -447,9 +435,8 @@ def _check_block_edge(grid: Grid, block_edge: int) -> None:
 
 
 # Bytes of the largest array of a chunk of randomized trials (blocked mask, pieces or
-# region counts), and, near cache size, of a chooser or dispersed re-tally sub-batch.
+# region counts); a dispersed re-tally sub-batch takes shifting._SUB_BATCH_BYTES.
 _TRIAL_CHUNK_BYTES = 1 << 22
-_SUB_BATCH_BYTES = 1 << 19
 
 
 def randomized_breakdown(

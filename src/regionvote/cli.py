@@ -117,14 +117,6 @@ def _pair(token) -> tuple[int, int]:
 
 def _coerce_like(default, value):
     """Convert a raw config value to the type of the field default."""
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        if str(value).lower() in ("true", "1"):
-            return True
-        if str(value).lower() in ("false", "0"):
-            return False
-        raise ValueError(f"expected true/false, got {value!r}")
     if isinstance(default, int):
         return int(value)
     if isinstance(default, float):

@@ -7,9 +7,7 @@ carries the realized flip count next to the concentrated area of the
 blocks. Salt-and-pepper noise, which flips target cells uniformly over
 the whole grid, is drawn by breakdown.salt_pepper_threshold itself.
 
-The module also measures noise areas: orthomeasure() is the discrete
-width of an area (the shortest maximal axis-aligned run of cells in any
-of its 4-connected components), and pack_blocks() greedily packs
+The module also measures noise areas: pack_blocks() greedily packs
 disjoint squares into an area to bound its concentrated part from below.
 """
 
@@ -155,7 +153,6 @@ def apply_block_noise(
     """
     dims = (grid.width, grid.height)
     spec.validate_bounds(dims)
-    spec._check_disjoint()
     if seed is None:
         seed = spec.seed
     if spec.flip_probability < 1.0 and seed is None:
@@ -273,71 +270,6 @@ def _place_disjoint_blocks(
                 a[going] for a in (active, origin, done, wanted, tries)
             )
     return anchors % n_x, anchors // n_x, placed
-
-
-def orthomeasure(area: NoiseArea) -> int:
-    """Discrete width of an area: the shortest orthodiameter.
-
-    The area is split into 4-connected components. Within a component,
-    every maximal horizontal and vertical run of cells is an
-    orthodiameter (its end cells touch the component boundary); the
-    orthomeasure is the minimum run length over all components.
-
-    >>> square = NoiseArea(frozenset((x, y) for x in range(10) for y in range(10)))
-    >>> orthomeasure(square)
-    10
-    """
-    cells = area.cells
-    if not cells:
-        raise ValueError("orthomeasure of an empty area is undefined")
-    best = None
-    for component in _components(cells):
-        for run in _axis_runs(component):
-            if best is None or run < best:
-                best = run
-    return best
-
-
-def _components(cells: frozenset[Cell]) -> list[set[Cell]]:
-    remaining = set(cells)
-    out = []
-    while remaining:
-        seed_cell = remaining.pop()
-        comp = {seed_cell}
-        frontier = [seed_cell]
-        while frontier:
-            x, y = frontier.pop()
-            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if nb in remaining:
-                    remaining.remove(nb)
-                    comp.add(nb)
-                    frontier.append(nb)
-        out.append(comp)
-    return out
-
-
-def _axis_runs(component: set[Cell]):
-    by_row: dict[int, list[int]] = {}
-    by_col: dict[int, list[int]] = {}
-    for x, y in component:
-        by_row.setdefault(y, []).append(x)
-        by_col.setdefault(x, []).append(y)
-    for coords in by_row.values():
-        yield from _run_lengths(coords)
-    for coords in by_col.values():
-        yield from _run_lengths(coords)
-
-
-def _run_lengths(coords: list[int]):
-    coords.sort()
-    start = prev = coords[0]
-    for c in coords[1:]:
-        if c == prev + 1:
-            prev = c
-            continue
-        yield prev - start + 1
-        start = prev = c
-    yield prev - start + 1
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,11 @@ region lattice arithmetic alone. contaminated_counts counts them for
 every shift, and its argmin is the one shift chooser: the sweep, the
 best-shift scheme's tally (breakdown.scheme_winner) and the block
 searches, which count many trials at once, all take the first shift
-touching the fewest regions. A sweep costs O(shifts * blocks * K^2),
-with K = grid._axis_pieces pieces per block and axis, and scans no
-cells. It names each piece's region with grid._axis_regions, the
+touching the fewest regions. A sweep costs O(shifts * blocks * K^2)
+time, with K = grid._axis_pieces pieces per block and axis, and scans no
+cells. It counts shifts in chunks under _SUB_BATCH_BYTES, so its working
+memory is the larger of that cap and one shift's arrays, whatever the
+shift count. It names each piece's region with grid._axis_regions, the
 formula the block searches sum a block's flips by, so the regions a
 block touches and the regions it flips votes in are counted alike. The
 brute-force cell scan lives in the tests as the independent oracle.
@@ -29,8 +31,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from regionvote.grid import GridDims, Partition, _axis_regions, enumerate_partitions
+from regionvote.grid import GridDims, Partition, _axis_pieces, _axis_regions, enumerate_partitions
 from regionvote.noise import BlockNoiseSpec
+
+# Bytes of one chunk of contaminated_counts (touched-region ids and hit table),
+# near cache size; breakdown.salt_pepper_threshold sizes its re-tally by it too.
+_SUB_BATCH_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -72,16 +78,24 @@ def contaminated_counts(
 ) -> np.ndarray:
     """Contaminated-region count of every shift of the square partition, in
     enumerate_partitions order (dx outer): (shifts,), or (n_trials, shifts)
-    when block i belongs to trial trial[i]."""
-    dx, dy = divmod(np.arange(region_edge * region_edge, dtype=np.int32), region_edge)
-    ids = touched_regions(dims, region_edge, region_edge, dx, dy, ax, ay, block_edge)
+    when block i belongs to trial trial[i]. Shifts are counted in chunks
+    whose touched-region ids (8 * blocks * K^2 bytes a shift) and hit table
+    (n_trials * regions bytes a shift) fit _SUB_BATCH_BYTES, at worst one
+    shift at a time; the counts, and so their first minimum, do not depend
+    on the chunking."""
+    n_shifts = region_edge * region_edge
     n_regions = (dims[0] // region_edge) * (dims[1] // region_edge)
-    rows = np.arange(dx.size)[:, None]  # of an (n_trials * shifts, regions) hit table
-    if trial is not None:
-        rows = rows + dx.size * np.tile(trial, ids.shape[1] // max(trial.size, 1))
-    hit = np.zeros((n_trials, dx.size, n_regions), dtype=bool)
-    hit.ravel()[ids + n_regions * rows] = True
-    counts = hit.sum(axis=2, dtype=np.int32)
+    pieces = _axis_pieces(block_edge, region_edge) ** 2
+    step = max(1, _SUB_BATCH_BYTES // (8 * ax.size * pieces + n_trials * n_regions))
+    tags = 0 if trial is None else np.tile(trial, pieces)  # each id's trial
+    counts = np.empty((n_trials, n_shifts), dtype=np.int32)
+    for start in range(0, n_shifts, step):
+        dx, dy = divmod(np.arange(start, min(start + step, n_shifts), dtype=np.int32), region_edge)
+        ids = touched_regions(dims, region_edge, region_edge, dx, dy, ax, ay, block_edge)
+        rows = np.arange(dx.size)[:, None] + dx.size * tags  # of a (trials * shifts, regions) table
+        hit = np.zeros((n_trials, dx.size, n_regions), dtype=bool)
+        hit.ravel()[ids + n_regions * rows] = True
+        counts[:, start:start + dx.size] = hit.sum(axis=2, dtype=np.int32)
     return counts if trial is not None else counts[0]
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from breakdown_oracles import dfs_regional_breakdown
-from regionvote import breakdown
+from regionvote import breakdown, shifting
 from regionvote.bounds import national_breakdown
 from regionvote.breakdown import (
     BestShiftScheme,
@@ -463,9 +463,9 @@ def test_salt_pepper_rejects_nonpositive_trials():
 def test_randomized_search_spans_many_chunks_and_replays(monkeypatch):
     # A 20x20 grid's padded 5x5 anchor lattice takes 576 bytes per trial, so
     # a 2,000-byte cap gives chunks of 3 trials, and the best-shift chooser
-    # counts one trial at a time.
+    # counts one shift at a time.
     monkeypatch.setattr(breakdown, "_TRIAL_CHUNK_BYTES", 2000)
-    monkeypatch.setattr(breakdown, "_SUB_BATCH_BYTES", 1)
+    monkeypatch.setattr(shifting, "_SUB_BATCH_BYTES", 1)
     calls = []
     place = breakdown._place_disjoint_blocks
 

@@ -537,8 +537,8 @@ def test_boundary_configs_never_raise(tmp_path, capsys):
 
 
 def test_cli_import_loads_neither_scipy_nor_hypothesis():
-    # `import scipy.stats` alone takes over a second: the CLI and the
-    # package modules import scipy only inside the functions that use it
+    # `import scipy.stats` alone takes over a second, and scipy is only a
+    # test dependency: the CLI and the package modules must not import it
     src = str(pathlib.Path(regionvote.__file__).resolve().parents[1])
     code = (
         "import sys, regionvote.cli; "

@@ -16,7 +16,6 @@ from regionvote.noise import (
     _sample_disjoint_anchors,
     apply_block_noise,
     block_capacity,
-    orthomeasure,
     pack_blocks,
     random_anchor_placement,
 )
@@ -372,36 +371,6 @@ def test_noise_area_bounds():
 
 def rect_area(w, h, x0=0, y0=0):
     return NoiseArea(frozenset((x0 + x, y0 + y) for x in range(w) for y in range(h)))
-
-
-def test_orthomeasure_rectangles():
-    assert orthomeasure(rect_area(10, 10)) == 10
-    assert orthomeasure(rect_area(3, 7)) == 3
-    assert orthomeasure(rect_area(1, 9)) == 1
-
-
-def test_orthomeasure_scattered_cells():
-    area = NoiseArea(frozenset({(0, 0), (5, 5), (2, 9)}))
-    assert orthomeasure(area) == 1
-
-
-def test_orthomeasure_l_shape():
-    # a 2-wide L: vertical runs of 2 exist on the stem
-    cells = {(x, 0) for x in range(6)} | {(x, 1) for x in range(6)} | {(0, y) for y in range(6)} | {(1, y) for y in range(6)}
-    assert orthomeasure(NoiseArea(frozenset(cells))) == 2
-
-
-def test_orthomeasure_empty_raises():
-    with pytest.raises(ValueError):
-        orthomeasure(NoiseArea(frozenset()))
-
-
-@given(st.integers(1, 5), st.integers(1, 5))
-@settings(max_examples=25)
-def test_orthomeasure_doubling_never_shrinks(w, h):
-    small = orthomeasure(rect_area(w, h))
-    doubled = orthomeasure(rect_area(2 * w, 2 * h))
-    assert doubled == 2 * small
 
 
 def test_pack_blocks_rectangle():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cell_oracles import scan_contaminated
 from regionvote.bounds import best_shift_ratio_ceiling, fixed_partition_ratio_ceiling
 from regionvote.grid import Partition, enumerate_partitions
+from regionvote import shifting
 from regionvote.noise import BlockNoiseSpec, PlacementInfeasibleError, random_anchor_placement
 from regionvote.shifting import (
     contaminated_counts,
@@ -76,6 +78,47 @@ def test_touched_regions_match_cell_scan(region, relation, seed, extra, blocks):
         counts = contaminated_counts(dims, rw, ax, ay, edge)
         scans = [len(scan_contaminated(dims, p, spec)) for p in enumerate_partitions(rw)]
         assert counts.tolist() == scans
+
+
+@pytest.mark.parametrize("relation", ["below", "equal", "above"])
+@given(seed=st.integers(0, 2**32 - 1), blocks=st.lists(st.integers(0, 4), min_size=1, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_one_shift_chunks_count_alike(relation, seed, blocks):
+    # a 1-byte cap counts every shift in its own chunk; one spec, and each
+    # trial's blocks tagged in one call, count as the whole-array kernel does
+    region_edge = 4
+    edge = {"below": 2, "equal": region_edge, "above": region_edge + 3}[relation]
+    dims = (5 * region_edge, 3 * region_edge)
+    try:
+        specs = [random_anchor_placement(dims, edge, b, seed=seed + t) for t, b in enumerate(blocks)]
+    except PlacementInfeasibleError:
+        assume(False)
+    arrays = [anchor_arrays(spec) for spec in specs]
+    ax, ay = np.concatenate(arrays, axis=1)
+    trial = np.repeat(np.arange(len(blocks)), blocks)
+    singles = [contaminated_counts(dims, region_edge, *xy, edge) for xy in arrays]
+    tagged = contaminated_counts(dims, region_edge, ax, ay, edge, trial, len(blocks))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shifting, "_SUB_BATCH_BYTES", 1)
+        for xy, single in zip(arrays, singles):
+            assert contaminated_counts(dims, region_edge, *xy, edge).tolist() == single.tolist()
+        split = contaminated_counts(dims, region_edge, ax, ay, edge, trial, len(blocks))
+    assert split.tolist() == tagged.tolist() == [single.tolist() for single in singles]
+
+
+@pytest.mark.parametrize("region_edge", [12, 40, 120])
+def test_contaminated_counts_memory_stays_flat(region_edge):
+    # 200 3x3 blocks under up to 14,400 shifts: the whole (shifts, ids) array
+    # would take about 92 MB at region edge 120
+    dims = (120, 120)
+    ax, ay = anchor_arrays(random_anchor_placement(dims, 3, 200, seed=0))
+    tracemalloc.start()
+    try:
+        contaminated_counts(dims, region_edge, ax, ay, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_zero_blocks_touch_nothing_and_pick_shift_zero():
