@@ -95,18 +95,13 @@ def fixed_partition_lower_bound(
     a_frac: Real,
     noise_edge: int,
     region_edge: int,
-    flip_fraction: Real = 1,
 ) -> Real:
     """Anti-A flips any fixed regional partition is guaranteed to absorb.
 
     Equals the area threshold times a_frac: blocks carrying the average
-    vote mix convert area to flips at rate a_frac. The optional
-    flip_fraction divides the bound for partial flipping (rate r < 1
-    means the same flip count spreads over more area); that extension is
-    a plausibility argument, not a proved bound.
+    vote mix convert area to flips at rate a_frac.
     """
-    raw = a_frac * fixed_partition_area_threshold(n_cells, noise_edge, region_edge)
-    return raw / flip_fraction
+    return a_frac * fixed_partition_area_threshold(n_cells, noise_edge, region_edge)
 
 
 def best_shift_lower_bound(
@@ -114,12 +109,10 @@ def best_shift_lower_bound(
     a_frac: Real,
     noise_edge: int,
     region_edge: int,
-    flip_fraction: Real = 1,
 ) -> Real:
     """Anti-A flips absorbed when the defender re-partitions after seeing
     the noise blocks. Same caveats as fixed_partition_lower_bound."""
-    raw = a_frac * best_shift_area_threshold(n_cells, noise_edge, region_edge)
-    return raw / flip_fraction
+    return a_frac * best_shift_area_threshold(n_cells, noise_edge, region_edge)
 
 
 def margin_fracs(margin_pct: int) -> tuple[Fraction, Fraction]:

@@ -1,4 +1,4 @@
-"""Command line driver: bounds, flag, sweep, breakdown, eigen.
+"""Command line driver: bounds, flag, sweep, breakdown, eigen, dispersed.
 
 Every subcommand reads an optional config file (JSON object or
 key=value lines), applies --seed/--out/--format overrides, and writes
@@ -26,10 +26,13 @@ from .breakdown import (
     GlobalScheme,
     GridGenSpec,
     RegionalScheme,
+    estimate_threshold,
     exhaustive_breakdown,
     generate_grid,
     greedy_block_breakdown,
     randomized_breakdown,
+    salt_pepper_threshold,
+    threshold_curve_to_csv,
 )
 from .eigenlab import PatternGallery, run_conjecture_experiment
 from .grid import Grid, Partition, _summed_area, grid_to_text
@@ -107,20 +110,21 @@ def _parse_config_file(path: pathlib.Path) -> tuple[dict, dict[str, int]]:
 
 
 def _pair(token) -> tuple[int, int]:
-    if isinstance(token, (list, tuple)) and len(token) == 2:
-        return int(token[0]), int(token[1])
-    parts = str(token).split("x")
+    parts = token if isinstance(token, (list, tuple)) else str(token).split("x")
     if len(parts) != 2:
         raise ValueError(f"expected a WxH pair, got {token!r}")
-    return int(parts[0]), int(parts[1])
+    return _coerce_like(0, parts[0]), _coerce_like(0, parts[1])
 
 
 def _coerce_like(default, value):
-    """Convert a raw config value to the type of the field default."""
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
+    """Convert a raw config value to the type of the field default. A bool
+    is no number, and an int field takes no fractional number."""
+    if isinstance(default, (int, float)):
+        if isinstance(value, bool) or (
+            isinstance(default, int) and isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValueError(f"expected {type(default).__name__}, got {value!r}")
+        return type(default)(value)
     if isinstance(default, str):
         return str(value)
     if isinstance(default, tuple):
@@ -131,9 +135,7 @@ def _coerce_like(default, value):
             raise ValueError(f"expected a list, got {value!r}")
         if not default or isinstance(default[0], tuple):  # an empty default holds pairs
             return tuple(_pair(tok) for tok in items)
-        if isinstance(default[0], float):
-            return tuple(float(tok) for tok in items)
-        return tuple(int(tok) for tok in items)
+        return tuple(_coerce_like(default[0], tok) for tok in items)
     raise ValueError(f"unsupported config field type {type(default).__name__}")
 
 
@@ -320,6 +322,23 @@ class EigenConfig:
         for level in self.noise_levels:
             if not 0 <= level <= 1:
                 raise ValueError(f"noise level {level} out of range [0, 1]")
+
+
+@dataclass(frozen=True)
+class DispersedConfig:
+    side: int = 50
+    a_frac: float = 0.55
+    region_edge: int = 5
+    trials: int = 500
+    rates: tuple[float, ...] = (0.06, 0.07, 0.08, 0.085, 0.09, 0.095, 0.10, 0.11, 0.12)
+    seed: int = 0
+
+    def validate(self) -> None:
+        # the side, share, rates and trial count are checked where they are used
+        if self.region_edge < 1 or self.side % self.region_edge != 0:
+            raise ValueError("region edge must be positive and divide the grid side")
+        if not self.rates:
+            raise ValueError("rates must be non-empty")
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +860,61 @@ def cmd_eigen(cfg: EigenConfig, out_dir: pathlib.Path, fmt: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# dispersed
+
+
+def cmd_dispersed(cfg: DispersedConfig, out_dir: pathlib.Path, fmt: str) -> int:
+    """Global and regional overturn curves under the same dispersed flip
+    draws, trial by trial, so any gap between them is the scheme's."""
+    echo = _echo_dict("dispersed", cfg, fmt)
+    noise_seed = stream_seed(cfg.seed, "saltpepper.noise")
+    try:
+        grid = generate_grid(GridGenSpec(
+            cfg.side, cfg.side, cfg.a_frac, "uniform_random",
+            seed=stream_seed(cfg.seed, "saltpepper.grid"),
+        ))
+        regional = RegionalScheme(Partition.square(cfg.region_edge))
+        curves = {
+            name: salt_pepper_threshold(grid, scheme, cfg.rates, trials=cfg.trials, seed=noise_seed)
+            for name, scheme in (("global", GlobalScheme()), ("regional", regional))
+        }
+    except ValueError as exc:  # a bad side, share, rate or trial count, or a lost grid
+        raise ConfigError(str(exc)) from exc
+    thresholds = {name: estimate_threshold(curve) for name, curve in curves.items()}
+    shown = {
+        name: "never crossed 1/2" if value is None else f"{value:.4f}"
+        for name, value in thresholds.items()
+    }
+    _write_echo(out_dir, echo)
+    if fmt == "json":
+        body = json.dumps(
+            {
+                "config": echo,
+                "curves": {name: [dataclasses.asdict(p) for p in c] for name, c in curves.items()},
+                "thresholds": thresholds,
+            },
+            sort_keys=True,
+        ) + "\n"
+        _write(out_dir, "dispersed.json", body)
+    elif fmt == "csv":
+        for name, curve in curves.items():
+            body = f"# config {_echo_json(echo)}\n" + threshold_curve_to_csv(curve)
+            _write(out_dir, f"dispersed_{name}.csv", body)
+    else:
+        lines = [f"config: {_echo_json(echo)}", "", f"{'rate':>8}  {'global':>8}  {'regional':>8}"]
+        for pg, pr in zip(curves["global"], curves["regional"]):
+            lines.append(
+                f"{pg.rate:>8.4f}  {pg.overturn_frequency:>8.3f}  {pr.overturn_frequency:>8.3f}"
+            )
+        lines += [f"{name} threshold: {text}" for name, text in shown.items()]
+        if None not in thresholds.values():
+            lines.append(f"threshold gap: {abs(thresholds['global'] - thresholds['regional']):.4f}")
+        _write(out_dir, "dispersed.txt", "\n".join(lines) + "\n")
+    print(f"dispersed: global threshold {shown['global']}, regional threshold {shown['regional']}")
+    return 0
+
+
+# ---------------------------------------------------------------------------
 # entry point
 
 
@@ -850,6 +924,7 @@ _COMMANDS = {
     "sweep": (cmd_sweep, SweepConfig),
     "breakdown": (cmd_breakdown, BreakdownConfig),
     "eigen": (cmd_eigen, EigenConfig),
+    "dispersed": (cmd_dispersed, DispersedConfig),
 }
 
 

@@ -71,10 +71,8 @@ class PatternGallery:
         return self.patterns.shape[0]
 
     @classmethod
-    def synthetic(
-        cls, count: int, width: int, height: int, seed: int, waves: int = 4
-    ) -> "PatternGallery":
-        """Smooth random patterns: sums of a few low-frequency waves.
+    def synthetic(cls, count: int, width: int, height: int, seed: int) -> "PatternGallery":
+        """Smooth random patterns: sums of four low-frequency waves.
 
         Large-scale structure separates the patterns well at coarse
         regions while neighboring pixels stay close, so fine regions
@@ -86,7 +84,7 @@ class PatternGallery:
         pats = np.zeros((count, height, width))
         for p in range(count):
             acc = np.zeros((height, width))
-            for _ in range(waves):
+            for _ in range(4):
                 u = rng.integers(0, 3)
                 v = rng.integers(0, 3)
                 if u == 0 and v == 0:

@@ -54,7 +54,9 @@ def winners(counts: np.ndarray) -> np.ndarray:
     """Winner of each row of (candidates, rows, regions) counts, -1 on a tie:
     the strict plurality of regions won, a region going to its strict
     plurality and a tied region to nobody."""
-    return _leader_index(_sole_leaders(_sole_leaders(counts).sum(axis=2)))
+    won = _sole_leaders(counts).sum(axis=2)
+    top = won == won.max(axis=0)
+    return np.where(top.sum(axis=0) == 1, top.argmax(axis=0), -1)
 
 
 @dataclass(frozen=True)

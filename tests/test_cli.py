@@ -101,6 +101,21 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config", [
+    ("flag", {"blocks": 7.9}),
+    ("flag", {"blocks": True}),
+    ("flag", {"rate": True}),
+    ("bounds", {"margin_pcts": [5.7, 10]}),
+])
+def test_json_value_of_the_wrong_type_is_exit_2(tmp_path, capsys, command, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "bad value for" in err and not (tmp_path / "o").exists()
+
+
 def test_validation_error_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("rate=1.5\n")
@@ -289,6 +304,7 @@ def test_reruns_are_byte_identical(tmp_path):
         ("bounds", ["--format", "csv"]),
         ("sweep", ["--format", "json", "--seed", "3"]),
         ("breakdown", ["--format", "json", "--seed", "5"]),
+        ("dispersed", ["--format", "csv", "--config", str(_config(tmp_path, "dispersed"))]),
     ]
     for name, extra in specs:
         d1, d2 = tmp_path / f"{name}_1", tmp_path / f"{name}_2"
@@ -297,14 +313,28 @@ def test_reruns_are_byte_identical(tmp_path):
         assert tree_bytes(d1) == tree_bytes(d2), name
 
 
+# Config files of the pinned runs that take one, as key=value text.
+CLI_CONFIGS = {
+    "best_shift": RANDOMIZED_20X20 + "scheme=best_shift\n",
+    "dispersed": "side=20\ntrials=50\n",
+}
+
+
+def _config(tmp_path, name):
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(CLI_CONFIGS[name])
+    return path
+
+
 # sha256 of every file the other subcommands write, per format; eigen's
 # outputs are pinned the same way in test_eigenlab.py (EIGEN_OUTPUTS).
 CLI_RUNS = {
     "bounds": ["bounds"],
     "sweep": ["sweep", "--seed", "3"],
     "breakdown": ["breakdown", "--seed", "5"],
-    "best_shift": None,  # RANDOMIZED_20X20 under scheme=best_shift
+    "best_shift": ["breakdown"],
     "flag": ["flag", "--seed", "1"],
+    "dispersed": ["dispersed"],
 }
 CLI_OUTPUTS = {
     ("bounds", "csv"): {
@@ -371,15 +401,28 @@ CLI_OUTPUTS = {
         "config_echo.json": "d5107c0752afac758af61a405485a5a7d5845640e8319877272cb6ca5a49e949",
         "flag_report.txt": "189ac47ba74a73f7bc72dea5b2881f1c5edfd1a5c98d3f8d9a5270db3fa11936",
     },
+    ("dispersed", "csv"): {
+        "config_echo.json": "b9392eb7b1d6eead6a9a2606ef4a86dac04dbd50cc3279154266b655a0f96a72",
+        "dispersed_global.csv": "a59e2c756f2777f125611b04fd26e7109ab71d18165a7b1726983160b1a37fb9",
+        "dispersed_regional.csv": "8a42ba4a9b4c34da41687112a4d6923452f5a14e5adc143e19afd0e3963cf631",
+    },
+    ("dispersed", "json"): {
+        "config_echo.json": "361b988a5b1c10789157b270a06cfd0679c18b1352eb93f27e56e948b3cc0d4a",
+        "dispersed.json": "704782c2295e266e47e6f34994d5dcd554db283799e2fa61da58304424b0630c",
+    },
+    ("dispersed", "txt"): {
+        "config_echo.json": "87753040fa236e0c58b449f4d77ca935a8e96559d1baf0ed194722623830b3fa",
+        "dispersed.txt": "1d34c39006a591b58e3fa477ebe617b350c00845f3053a63fa15e8f588aea546",
+    },
 }
 
 
 def test_cli_outputs_are_unchanged(tmp_path):
-    cfg = tmp_path / "best_shift.cfg"
-    cfg.write_text(RANDOMIZED_20X20 + "scheme=best_shift\n")
     for (name, fmt), digests in CLI_OUTPUTS.items():
         out = tmp_path / f"{name}_{fmt}"
-        args = CLI_RUNS[name] or ["breakdown", "--config", str(cfg)]
+        args = CLI_RUNS[name]
+        if name in CLI_CONFIGS:
+            args = [*args, "--config", str(_config(tmp_path, name))]
         assert run_cli(*args, "--format", fmt, "--out", str(out)) == 0
         written = {path: hashlib.sha256(data).hexdigest() for path, data in tree_bytes(out).items()}
         assert written == digests, (name, fmt)
@@ -413,42 +456,6 @@ def test_module_entry_point_runs():
     assert "bounds" in proc.stdout and "eigen" in proc.stdout
 
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "salt_pepper_curves.py"
-
-
-@pytest.mark.parametrize("args, message", [
-    (["--rates", "1.5"], "rate must lie in [0, 1]"),
-    (["--trials", "0"], "trials must be positive"),
-    (["--side", "0"], "grid dimensions must be positive"),
-    (["--a-frac", "2"], "a_frac must lie in [0, 1]"),
-    (["--region-edge", "0"], "region edge must be positive"),
-    (["--a-frac", "0.45"], "grid winner is 1, expected target 0"),
-])
-def test_salt_pepper_script_bad_arguments_exit_2(args, message):
-    src = str(pathlib.Path(regionvote.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--side", "20", "--trials", "10", "--rates", "0.1", *args],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-    )
-    assert proc.returncode == 2
-    assert message in proc.stderr and "Traceback" not in proc.stderr
-    assert proc.stdout == ""
-
-
-def test_salt_pepper_script_refuses_a_missing_csv_directory(tmp_path):
-    src = str(pathlib.Path(regionvote.__file__).resolve().parents[1])
-    prefix = tmp_path / "missing" / "x"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--side", "20", "--trials", "10", "--rates", "0.1",
-         "--csv", str(prefix)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-    )
-    assert proc.returncode == 2
-    assert "does not exist" in proc.stderr and "Traceback" not in proc.stderr
-    assert proc.stdout == ""  # refused before the curves are computed
-    assert not prefix.parent.exists()
-
-
 # Every config key at boundary values. Small attempts, trials and images
 # keep each case to milliseconds; the key under test overrides them.
 _FAST = {
@@ -460,6 +467,7 @@ _FAST = {
         "patterns": "3", "width": "12", "height": "8", "k": "2",
         "region_counts": "1,4", "noise_levels": "0.0", "trials": "1",
     },
+    "dispersed": {"trials": "10", "rates": "0.1"},
 }
 
 
@@ -508,6 +516,16 @@ _MUST_EXIT_2 = [
     ("eigen", {"patterns": "100000"}),  # a 74.5 GiB Gram matrix
     ("eigen", {"width": "100000", "height": "1000"}),  # a 2.2 GiB gallery of 3 patterns
 ]
+# The dispersed refusals, each with the text of the check that raises it.
+_DISPERSED_MUST_EXIT_2 = [
+    ({"rates": "1.5"}, "rate must lie in [0, 1]"),
+    ({"trials": "0"}, "trials must be positive"),
+    ({"side": "0"}, "grid dimensions must be positive"),
+    ({"a_frac": "2"}, "a_frac must lie in [0, 1]"),
+    ({"region_edge": "0"}, "region edge must be positive"),
+    ({"region_edge": "3"}, "region edge must be positive and divide the grid side"),
+    ({"a_frac": "0.45"}, "grid winner is 1, expected target 0"),  # the rival leads
+]
 
 
 def _boundary_cases():
@@ -522,14 +540,19 @@ def _boundary_cases():
 
 def test_boundary_configs_never_raise(tmp_path, capsys):
     failures = []
-    cases = [(c, o, False) for c, o in _boundary_cases()] + [(c, o, True) for c, o in _MUST_EXIT_2]
-    for i, (command, overrides, must_exit_2) in enumerate(cases):
+    cases = (
+        [(c, o, None) for c, o in _boundary_cases()]
+        + [(c, o, "") for c, o in _MUST_EXIT_2]
+        + [("dispersed", o, message) for o, message in _DISPERSED_MUST_EXIT_2]
+    )
+    for i, (command, overrides, message) in enumerate(cases):
         cfg = tmp_path / f"c{i}.cfg"
         cfg.write_text("".join(f"{k}={v}\n" for k, v in {**_FAST[command], **overrides}.items()))
         code = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / f"o{i}"))
         err = capsys.readouterr().err
         one_line = err.startswith("config error:") and err.count("\n") == 1
-        if code not in (0, 1, 2) or (code == 2 and not one_line) or (must_exit_2 and code != 2):
+        not_refused = message is not None and (code != 2 or message not in err)
+        if code not in (0, 1, 2) or (code == 2 and not one_line) or not_refused:
             failures.append((command, overrides, code, err))
     assert failures == []
     assert run_cli("sweep", "--seed", str(2**64), "--out", str(tmp_path / "big")) == 2
