@@ -21,10 +21,19 @@ so the search and the sweep cannot disagree on the chosen shift.
 
 The randomized search places a chunk of trials in lockstep and
 _FastState.outcomes evaluates them together, as the greedy search does
-its prefixes. Every winner, national or regional, before or after the
-flips, comes from voting.winners over voting.region_counts, with the
-nation as one region. Every search first refuses a grid whose scheme
-winner is not the target, since there is nothing to overturn.
+its prefixes. salt_pepper_threshold draws a chunk of trials into buffers
+of about _SALT_PEPPER_CHUNK_DRAWS uniforms, allocated once per call, so
+its memory does not grow with the trial count. Its regional branch counts
+a chunk's flips per region with no loop over trials: it packs the same
+cell's flip bits from several trials into the lanes of one uint64 word and
+sums each region's words (SIMD within a register). A lane is wide enough
+for the largest region's target cells, so no lane's sum carries into its
+neighbour.
+
+Every winner, national or regional, before or after the flips, comes from
+voting.winners over voting.region_counts, with the nation as one region.
+Every search first refuses a grid whose scheme winner is not the target,
+since there is nothing to overturn.
 
 Grid generation lives here too, with the margin-enforcing mode the
 regional lower bounds are stated for.
@@ -35,6 +44,7 @@ which share one generator, are sized from the arguments alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -363,9 +373,15 @@ class _FastState:
         self.dims: GridDims = (grid.width, grid.height)
         self.candidates = grid.candidate_count
         self.votes = grid.votes
-        mask = (self.votes == target).reshape(grid.height, grid.width)
-        self.sat = _summed_area(mask).astype(np.int32).ravel()
         self._counts_cache: dict[tuple[Partition, ...], np.ndarray] = {}
+
+    @functools.cached_property
+    def sat(self) -> np.ndarray:
+        """Flat summed-area table of the target's cells, built on first use:
+        only the block searches read it."""
+        width, height = self.dims
+        return _summed_area((self.votes == self.target).reshape(height, width)).astype(
+            np.int32).ravel()
 
     def region_counts(self, partitions: tuple[Partition, ...]) -> np.ndarray:
         """(candidates, partitions, regions) int32 vote counts, cached."""
@@ -545,9 +561,11 @@ def greedy_block_breakdown(
 # ---------------------------------------------------------------------------
 # dispersed-noise thresholds
 
-# Most uniform draws salt_pepper_threshold holds at once: its trials x
-# target-cells matrix is drawn in row chunks of this many draws or fewer.
-_SALT_PEPPER_CHUNK_DRAWS = 1 << 22
+# Uniform draws salt_pepper_threshold holds at once: its trials x target-cells
+# matrix is drawn in row chunks of this many draws or fewer, except that a
+# chunk holds at least one row, and a regional chunk a whole number of uint64
+# words of trials (up to 8 rows).
+_SALT_PEPPER_CHUNK_DRAWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -585,6 +603,18 @@ def salt_pepper_threshold(
     trial by trial and their curves are directly comparable. Confidence
     bounds are 95% Wilson intervals. A grid whose scheme winner is not the
     target has nothing to overturn and is refused before the first draw.
+
+    Each rate's trials x target-cells uniforms are drawn in row chunks of
+    about _SALT_PEPPER_CHUNK_DRAWS (2 MiB of float64, a typical per-core L2
+    cache), into one draw buffer reused by every chunk; a chunk also stays
+    under shifting._SUB_BATCH_BYTES of region counts to re-tally. The
+    global scheme sums each trial's flips. The regional scheme transposes a
+    chunk's flip bits into lanes of the smallest unsigned type that holds
+    the most target cells any region has, 8 // itemsize lanes to a uint64
+    word, with the chunk rounded up to a multiple of that, and sums each
+    region's words in one reduceat. A lane's sum counts at most its
+    region's target cells, so it never exceeds the lane's maximum and never
+    carries into the next lane.
     """
     if isinstance(scheme, BestShiftScheme):
         raise ValueError("dispersed noise has no blocks for best-shift to dodge")
@@ -599,32 +629,53 @@ def salt_pepper_threshold(
     partitions = _partitions(scheme, state.dims)
     region_idx = partitions[0].labels(state.dims)[target_idx]
     n_regions = partitions[0].region_count(state.dims)
-    # Only a sweep that draws checks the standing winner: an empty one draws and
-    # reports nothing, and the dispersed_noise benchmark times its setup through
-    # one, where an unconditional tally added 18-27 % to setup_s.
+    # Only a sweep that draws checks the standing winner and sets up its buffers:
+    # an empty one draws and reports nothing, and the dispersed_noise benchmark
+    # times its setup through one, where an unconditional tally added 18-27 % to
+    # setup_s.
     if len(rates):
         zero = np.zeros((1, n_regions), dtype=np.int32)
         standing = int(state.regional_winners(partitions, np.zeros(1, np.intp), zero)[0])
         if standing != target:
             shown = None if standing < 0 else standing
             raise ValueError(f"grid winner is {shown}, expected target {target}")
+        chunk = max(1, min(  # rows of draws, and of region counts to re-tally
+            _SALT_PEPPER_CHUNK_DRAWS // max(n_t, 1),
+            _SUB_BATCH_BYTES // (4 * grid.candidate_count * n_regions),
+        ))
+        if n_regions > 1:
+            # target cells in region order, each region a segment of that order
+            sizes = np.bincount(region_idx, minlength=n_regions)
+            order = np.argsort(region_idx, kind="stable")
+            counted = np.flatnonzero(sizes)  # the regions with a target cell
+            starts = np.concatenate(([0], np.cumsum(sizes[counted])[:-1]))
+            lane = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                        if sizes.max() <= np.iinfo(t).max)
+            lanes = 8 // np.dtype(lane).itemsize
+            chunk = -(-chunk // lanes) * lanes
+            packed = np.zeros((n_t, chunk), dtype=lane)
+            flipped = np.zeros((chunk, n_regions), dtype=np.int32)
+        draws = np.empty((min(chunk, trials), n_t))
+        below = np.empty(draws.shape, dtype=bool)
+        shifts = np.zeros(chunk, dtype=np.intp)
     rng = np.random.default_rng(seed)
-    chunk = max(1, min(  # rows of draws, and of region counts to re-tally
-        _SALT_PEPPER_CHUNK_DRAWS // max(n_t, 1),
-        _SUB_BATCH_BYTES // (4 * grid.candidate_count * n_regions),
-    ))
     points = []
     for rate in rates:
         overturns = 0
         for start in range(0, trials, chunk):
+            k = min(chunk, trials - start)
             # consecutive row chunks of rng.random equal one trials x n_t draw
-            flips_mat = rng.random((min(chunk, trials - start), n_t)) < rate
+            np.less(rng.random(out=draws[:k]), rate, out=below[:k])
             if n_regions == 1:
-                flipped = flips_mat.sum(axis=1, dtype=np.int32)[:, None]
+                flipped = below[:k].sum(axis=1, dtype=np.int32)[:, None]
             else:
-                flipped = np.array([np.bincount(region_idx[f], minlength=n_regions)
-                                    for f in flips_mat])
-            winners = state.regional_winners(partitions, np.zeros(len(flipped), np.intp), flipped)
+                # a word holds one cell's flips in `lanes` trials, so summing
+                # a region's segment of words counts its flips in all of them
+                packed[:, :k] = below[:k].view(np.uint8).T
+                words = packed.view(np.uint64).take(order, axis=0)
+                counts = np.add.reduceat(words, starts, axis=0).view(lane)
+                flipped[:k, counted] = counts[:, :k].T
+            winners = state.regional_winners(partitions, shifts[:k], flipped[:k])
             overturns += int(_overturned(winners, target).sum())
         freq = overturns / trials
         lo, hi = _wilson_interval(overturns, trials)

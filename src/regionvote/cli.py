@@ -56,9 +56,10 @@ EXPECTED_TABLE2 = (
     (750, 1080, 1333, 1920),
 )
 
-# Bytes any one float64 array of an eigen run may take: its Gram matrix
-# and its pattern gallery are refused above this before training starts.
-EIGEN_ARRAY_CAP = 1 << 30
+# Bytes any one 8-byte-per-entry array a config implies may take: a grid's
+# int64 votes, and an eigen run's float64 Gram matrix and pattern gallery,
+# are refused above this before any work starts.
+ARRAY_CAP_BYTES = 1 << 30
 
 # The regional schemes the flag instance must survive: 5x4 and 3x3 regions.
 FLAG_PARTITIONS = (Partition(region_width=5, region_height=4), Partition.square(3))
@@ -197,6 +198,12 @@ def _check_geometry(width: int, height: int, block_edge: int, partitions) -> Non
         raise ValueError(f"block_edge must lie in [1, {min(width, height)}]")
 
 
+def _check_array_cap(name: str, entries: int) -> None:
+    if 8 * entries > ARRAY_CAP_BYTES:
+        raise ValueError(
+            f"the {name} would take {entries / 2**27:.1f} GiB, over {ARRAY_CAP_BYTES >> 30} GiB")
+
+
 @dataclass(frozen=True)
 class BoundsConfig:
     n_cells: int = 10_000
@@ -242,6 +249,7 @@ class FlagConfig:
             raise ValueError("rate must lie in [0, 1]")
         if self.attempts < 1:
             raise ValueError("attempts must be positive")
+        _check_array_cap("width x height noise array", self.width * self.height)
 
 
 @dataclass(frozen=True)
@@ -259,6 +267,7 @@ class SweepConfig:
         _check_geometry(self.width, self.height, self.block_edge, (partition,))
         if self.blocks < 1 and not self.anchors:
             raise ValueError("need a positive block count or explicit anchors")
+        _check_array_cap("width x height vote array", self.width * self.height)
 
 
 @dataclass(frozen=True)
@@ -288,6 +297,7 @@ class BreakdownConfig:
             raise ValueError("exhaustive search does not cover best_shift")
         if self.budget < 0:
             raise ValueError("budget must be non-negative (0 means the search default)")
+        _check_array_cap("width x height vote array", self.width * self.height)
 
 
 @dataclass(frozen=True)
@@ -307,12 +317,8 @@ class EigenConfig:
             raise ValueError("need at least 2 patterns")
         if min(self.width, self.height) < 1 or self.width * self.height < 2:
             raise ValueError("width and height must be positive, with at least 2 pixels")
-        for name, entries in (
-            ("patterns x patterns Gram matrix", self.patterns * self.patterns),
-            ("patterns x pixels gallery", self.patterns * self.width * self.height),
-        ):
-            if 8 * entries > EIGEN_ARRAY_CAP:
-                raise ValueError(f"the {name} would take {entries / 2**27:.1f} GiB, over 1 GiB")
+        _check_array_cap("patterns x patterns Gram matrix", self.patterns * self.patterns)
+        _check_array_cap("patterns x pixels gallery", self.patterns * self.width * self.height)
         if self.gallery_seed < 0:
             raise ValueError("gallery_seed must be non-negative")
         if not (self.region_counts and self.noise_levels):
@@ -339,6 +345,7 @@ class DispersedConfig:
             raise ValueError("region edge must be positive and divide the grid side")
         if not self.rates:
             raise ValueError("rates must be non-empty")
+        _check_array_cap("side x side vote array", self.side * self.side)
 
 
 # ---------------------------------------------------------------------------

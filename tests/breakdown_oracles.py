@@ -1,4 +1,4 @@
-"""Reference breakdown search the tests check the exact regional search against.
+"""Reference code the tests check the breakdown module against.
 
 dfs_regional_breakdown is the search over every per-region flip allocation
 that exhaustive_breakdown ran for a fixed partition before it became an
@@ -7,12 +7,27 @@ allocations in lexicographic order, re-tallying each one region by region
 with plurality_winner, so it returns the lexicographically first minimal
 allocation. Its runtime grows combinatorially with the budget and the
 region count: keep grids to a few dozen cells.
+
+salt_pepper_by_rows counts dispersed-noise overturns one trial at a time:
+one trials x target-cells draw per rate, and a bincount of each trial's
+flipped cells by region, where salt_pepper_threshold sums lane-packed words.
 """
 
+import numpy as np
+
 from cell_oracles import region_of
-from regionvote.breakdown import BreakdownResult, RegionalScheme, scheme_label, scheme_winner
+from regionvote.breakdown import (
+    BreakdownResult,
+    GlobalScheme,
+    RegionalScheme,
+    ThresholdPoint,
+    _wilson_interval,
+    scheme_label,
+    scheme_winner,
+)
+from regionvote.grid import Partition
 from regionvote.noise import BlockNoiseSpec
-from regionvote.voting import plurality_winner
+from regionvote.voting import plurality_winner, region_counts, winners
 
 
 def dfs_regional_breakdown(grid, partition, flip_budget=None, target=0, flip_to=1):
@@ -78,3 +93,27 @@ def dfs_regional_breakdown(grid, partition, flip_budget=None, target=0, flip_to=
             witness = BlockNoiseSpec(1, cells, target, flip_to, 1.0)
             return BreakdownResult(label, "exhaustive", k, witness)
     return BreakdownResult(label, "exhaustive", None, None)
+
+
+def salt_pepper_by_rows(grid, scheme, rates, trials, seed, target=0, flip_to=1):
+    """salt_pepper_threshold's points for a grid the target leads, one trial
+    row at a time."""
+    dims = (grid.width, grid.height)
+    partition = Partition(*dims) if isinstance(scheme, GlobalScheme) else scheme.partition
+    labels, n_regions = partition.labels(dims), partition.region_count(dims)
+    base = region_counts(grid.votes, labels, n_regions, grid.candidate_count)
+    target_idx = np.flatnonzero(grid.votes == target)
+    region_idx = labels[target_idx]
+    rng = np.random.default_rng(seed)
+    points = []
+    for rate in rates:
+        flips = np.array([np.bincount(region_idx[f], minlength=n_regions)
+                          for f in rng.random((trials, target_idx.size)) < rate])
+        counts = np.repeat(base, trials, axis=1)
+        counts[target] -= flips
+        counts[flip_to] += flips
+        won = winners(counts)
+        overturns = int(((won >= 0) & (won != target)).sum())
+        points.append(ThresholdPoint(float(rate), overturns / trials,
+                                     *_wilson_interval(overturns, trials)))
+    return tuple(points)

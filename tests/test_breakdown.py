@@ -1,13 +1,14 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from breakdown_oracles import dfs_regional_breakdown
+from breakdown_oracles import dfs_regional_breakdown, salt_pepper_by_rows
 from regionvote import breakdown, shifting
 from regionvote.bounds import national_breakdown
 from regionvote.breakdown import (
@@ -349,6 +350,70 @@ def test_salt_pepper_chunked_draws_equal_one_draw(monkeypatch, scheme, rows):
     monkeypatch.setattr(breakdown, "_SALT_PEPPER_CHUNK_DRAWS", rows * 220 + 219)
     assert salt_pepper_threshold(g, scheme, rates, trials=60, seed=17) == whole
     assert 0 < sum(p.overturn_frequency for p in whole) < len(rates)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    candidates=st.integers(2, 3),
+    edge=st.sampled_from([(1, 1), (1, 2), (3, 2), (5, 5), (30, 30)]),
+    cols=st.integers(1, 3),
+    rows=st.integers(1, 3),
+    lead=st.floats(0.5, 0.9),
+    trials=st.integers(1, 21),
+    rates=st.lists(st.floats(0.0, 1.0), max_size=3),
+)
+# 30x30 regions of about 540 target cells: 16-bit lanes, 4 trials to a word
+@example(seed=2, candidates=2, edge=(30, 30), cols=2, rows=1, lead=0.6, trials=13,
+         rates=[0.1, 0.2, 0.3])
+# 1x1 regions: every rival cell is a region with no target cell
+@example(seed=3, candidates=3, edge=(1, 1), cols=3, rows=3, lead=0.7, trials=9,
+         rates=[0.2, 0.6])
+@settings(max_examples=100, deadline=None)
+def test_salt_pepper_matches_the_row_by_row_count(
+    seed, candidates, edge, cols, rows, lead, trials, rates
+):
+    rng = np.random.default_rng(seed)
+    rw, rh = edge
+    width, height = rw * cols, rh * rows
+    votes = rng.choice(candidates, width * height,
+                       p=[lead] + [(1 - lead) / (candidates - 1)] * (candidates - 1))
+    g = Grid(width, height, candidates, votes)
+    partition = Partition(rw, rh, int(rng.integers(rw)), int(rng.integers(rh)))
+    for scheme in (GlobalScheme(), RegionalScheme(partition)):
+        if scheme_winner(g, scheme) != 0:
+            if rates:
+                with pytest.raises(ValueError, match="expected target 0"):
+                    salt_pepper_threshold(g, scheme, rates, trials=trials, seed=seed)
+            continue
+        expected = salt_pepper_by_rows(g, scheme, rates, trials, seed)
+        assert salt_pepper_threshold(g, scheme, rates, trials=trials, seed=seed) == expected
+
+
+@pytest.mark.parametrize("draws", [1, 1 << 24])
+def test_salt_pepper_points_do_not_depend_on_the_draw_buffer(monkeypatch, draws):
+    # two 30x30 regions of about 540 target cells each: 16-bit lanes, so a
+    # regional chunk is a multiple of 4 trials, and 30 trials end on a short one
+    g = generate_grid(GridGenSpec(60, 30, 0.6, "uniform_random", seed=5))
+    rates = (0.1, 0.17, 0.25)
+    for scheme in (GlobalScheme(), RegionalScheme(Partition(30, 30, 7, 11))):
+        default = salt_pepper_threshold(g, scheme, rates, trials=30, seed=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(breakdown, "_SALT_PEPPER_CHUNK_DRAWS", draws)
+            assert salt_pepper_threshold(g, scheme, rates, trials=30, seed=3) == default
+        assert 0 < sum(p.overturn_frequency for p in default) < len(rates)
+
+
+@pytest.mark.parametrize("scheme", [GlobalScheme(), RegionalScheme(Partition.square(5))])
+def test_salt_pepper_memory_does_not_grow_with_trials(scheme):
+    # 22,000 target cells: one 2,000-trial draw would take 335 MiB of float64
+    g = generate_grid(GridGenSpec(200, 200, 0.55, "uniform_random", seed=6))
+    tracemalloc.start()
+    try:
+        salt_pepper_threshold(g, scheme, (0.09,), trials=2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("candidates", [2, 3])

@@ -492,6 +492,7 @@ _MUST_EXIT_2 = [
     ("sweep", {"block_edge": "60"}),
     ("sweep", {"blocks": "5000"}),
     ("sweep", {"width": "0"}),
+    ("sweep", {"width": "100000", "height": "100000"}),  # 74.5 GiB of int64 votes
     # fits by area, but seed 0 places its first block where no tiling fits
     ("sweep", {"width": "10", "height": "10", "region_edge": "5", "blocks": "4"}),
     ("bounds", {"edge_ratios": "0"}),
@@ -510,6 +511,11 @@ _MUST_EXIT_2 = [
     ("breakdown", {"search": "randomized", "blocks_lo": "37", "blocks_hi": "40"}),
     # 6,400 regions: the exact regional search's table would take 655 MB
     ("breakdown", {"width": "400", "height": "400", "region_edge": "5", "scheme": "regional"}),
+    # 10^10 cells: their int64 votes alone would take 74.5 GiB
+    ("breakdown", {"width": "100000", "height": "100000", "search": "greedy"}),
+    # a 74.5 GiB float64 noise array, on a grid both flag partitions divide
+    ("flag", {"width": "99990", "height": "99960", "white": "4997500200",
+              "black": "4997500200"}),
     ("eigen", {"width": "1", "height": "1"}),
     # 2x1 images give constant synthetic patterns (once NaN), and 4 regions do not fit
     ("eigen", {"width": "2", "height": "1"}),
@@ -525,6 +531,7 @@ _DISPERSED_MUST_EXIT_2 = [
     ({"region_edge": "0"}, "region edge must be positive"),
     ({"region_edge": "3"}, "region edge must be positive and divide the grid side"),
     ({"a_frac": "0.45"}, "grid winner is 1, expected target 0"),  # the rival leads
+    ({"side": "100000"}, "the side x side vote array would take 74.5 GiB, over 1 GiB"),
 ]
 
 
