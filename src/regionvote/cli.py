@@ -57,8 +57,9 @@ EXPECTED_TABLE2 = (
 )
 
 # Bytes any one 8-byte-per-entry array a config implies may take: a grid's
-# int64 votes, and an eigen run's float64 Gram matrix and pattern gallery,
-# are refused above this before any work starts.
+# int64 votes, and an eigen run's float64 pattern gallery, are refused above
+# this before any work starts. Eigen training decomposes min(n, d) x min(n, d)
+# matrices for n patterns of d pixels a region, never more than the gallery.
 ARRAY_CAP_BYTES = 1 << 30
 
 # The regional schemes the flag instance must survive: 5x4 and 3x3 regions.
@@ -317,7 +318,6 @@ class EigenConfig:
             raise ValueError("need at least 2 patterns")
         if min(self.width, self.height) < 1 or self.width * self.height < 2:
             raise ValueError("width and height must be positive, with at least 2 pixels")
-        _check_array_cap("patterns x patterns Gram matrix", self.patterns * self.patterns)
         _check_array_cap("patterns x pixels gallery", self.patterns * self.width * self.height)
         if self.gallery_seed < 0:
             raise ValueError("gallery_seed must be non-negative")

@@ -11,16 +11,18 @@ for bit.
 
 Every region of a layout has the same patch shape, so one model holds
 all of them stacked on a leading region axis. Principal directions come
-from the n x n Gram matrices of the n gallery patches, all regions at
-once through a batched matmul and np.linalg.eigh, mapped back to pixel
-space; a region keeps its top min(k, d, n - 1) directions whose
-eigenvalue exceeds 1e-12 of its largest. Probes are matched in chunks:
-one einsum projects a stack of probes in every region, and the squared
-coordinate differences are summed slab by slab in the order
-np.add.reduce uses, so a chunk's distances equal one probe's bit for
-bit. The chunk cap, _PROBE_CHUNK_BYTES, keeps a chunk's image stack and
-every (gallery, probes, regions) slab within 1 MiB (or one probe's, if
-larger) however many trials run. Probes are noisy copies of gallery
+from the smaller side of a region's n gallery patches of d pixels, all
+regions at once through a batched matmul and np.linalg.eigh: the n x n
+Gram matrices (the snapshot method), mapped back to pixel space, when
+n <= d, and the d x d covariances, whose eigenvectors are the directions
+themselves, when d < n. A region keeps its top min(k, d, n - 1)
+directions whose eigenvalue exceeds 1e-12 of its largest. Probes are
+matched in chunks: one einsum projects a stack of probes in every
+region, and the squared coordinate differences are summed slab by slab
+in the order np.add.reduce uses, so a chunk's distances equal one
+probe's bit for bit. The chunk cap, _PROBE_CHUNK_BYTES, keeps a chunk's
+image stack and every (gallery, probes, regions) slab within 1 MiB (or
+one probe's, if larger) however many trials run. Probes are noisy copies of gallery
 patterns: soft-edged disks overwrite parts of the image, each touching
 only its bounding window, and a faint full-field jitter rides along so
 that very small regions lose their footing, mirroring how tiny
@@ -174,13 +176,17 @@ class EigenModel:
         return self.region_cols * self.region_rows
 
 
-# Bytes of stacked Gram matrices per eigh call: however many regions a
-# layout has, training never holds more than this of R x n^2.
-_GRAM_CHUNK_BYTES = 1 << 24
+# Bytes of stacked matrices per eigh call: training decomposes each
+# region's n x n Gram matrix or d x d covariance, whichever side is
+# smaller, and however many regions a layout has never holds more than
+# this of R x min(n, d)^2.
+_EIGH_CHUNK_BYTES = 1 << 24
 
 
 def _train(gallery: PatternGallery, cols: int, rows: int, k: int) -> EigenModel:
-    """PCA of every region's patches via their Gram matrices and eigh."""
+    """PCA of every region's patches by eigh of the smaller side: the
+    n x n Gram matrices, mapped back to pixel space, when n <= d, and
+    the d x d covariances, whose eigenvectors are the basis, when d < n."""
     if k < 1:
         raise ValueError("k must be at least 1")
     label_values, label_ranks = np.unique(gallery.labels, return_inverse=True)
@@ -191,20 +197,24 @@ def _train(gallery: PatternGallery, cols: int, rows: int, k: int) -> EigenModel:
     k_eff = min(k, dim, count - 1)
     basis = np.zeros((regions, k_eff, dim))
     eigenvalues = np.zeros((regions, k_eff))
-    step = max(1, _GRAM_CHUNK_BYTES // (8 * count * count))
+    gram_side = count <= dim
+    step = max(1, _EIGH_CHUNK_BYTES // (8 * min(count, dim) ** 2))
     for lo in range(0, regions, step):
         part = centered[lo : lo + step]
-        gram = part @ part.transpose(0, 2, 1)
-        if (np.trace(gram, axis1=1, axis2=2) <= 1e-24).any():
+        part_t = part.transpose(0, 2, 1)
+        matrix = part @ part_t if gram_side else part_t @ part
+        if (np.trace(matrix, axis1=1, axis2=2) <= 1e-24).any():
             raise DegenerateGalleryError("gallery patterns are identical; nothing to decompose")
-        values, vectors = np.linalg.eigh(gram)
+        values, vectors = np.linalg.eigh(matrix)
         values = values[:, ::-1][:, :k_eff]
-        vectors = vectors[:, :, ::-1][:, :, :k_eff]
+        # top eigenvectors as rows, (chunk, k_eff, min(n, d))
+        vectors = vectors[:, :, ::-1][:, :, :k_eff].transpose(0, 2, 1)
         keep = values > values[:, :1] * 1e-12
         values = np.where(keep, values, 0.0)
-        mapped = vectors.transpose(0, 2, 1) @ part
-        mapped /= np.sqrt(np.where(keep, values, 1.0))[:, :, None]
-        basis[lo : lo + step] = np.where(keep[:, :, None], mapped, 0.0)
+        if gram_side:
+            vectors = vectors @ part
+            vectors /= np.sqrt(np.where(keep, values, 1.0))[:, :, None]
+        basis[lo : lo + step] = np.where(keep[:, :, None], vectors, 0.0)
         eigenvalues[lo : lo + step] = values
     coords = centered @ basis.transpose(0, 2, 1)
     return EigenModel(
@@ -373,21 +383,25 @@ def disk_noise(
     hit = np.abs(noisy - image) >= AFFECTED_LEVEL
     affected = np.count_nonzero(hit)
     min_edge = min(width, height)
+    xs, ys = np.arange(width), np.arange(height)[:, None]
     for _ in range(64):
         if affected / image.size >= coverage:
             break
-        cx = rng.uniform(0, width)
-        cy = rng.uniform(0, height)
-        radius = rng.uniform(0.15, 0.35) * min_edge
-        fill = rng.uniform(0.85, 1.0) if rng.random() < 0.5 else rng.uniform(0.0, 0.15)
+        # One draw for the disk's centre, radius, coin and fill, each scaled
+        # as Generator.uniform(low, high) scales it, low + (high - low) * u:
+        # the values and the generator's state of five scalar calls.
+        cx, cy, radius, coin, fill = rng.random(5).tolist()
+        cx, cy = width * cx, height * cy
+        radius = (0.15 + (0.35 - 0.15) * radius) * min_edge
+        fill = 0.85 + (1.0 - 0.85) * fill if coin < 0.5 else 0.15 * fill
         # alpha is 0 wherever dist >= radius, so only this window changes;
         # it runs one pixel past the disk on each side
         x0, x1 = max(0, math.floor(cx - radius)), min(width, math.ceil(cx + radius) + 1)
         y0, y1 = max(0, math.floor(cy - radius)), min(height, math.ceil(cy + radius) + 1)
         window = np.s_[y0:y1, x0:x1]
         affected -= np.count_nonzero(hit[window])
-        dist = np.sqrt((np.arange(x0, x1) - cx) ** 2 + (np.arange(y0, y1)[:, None] - cy) ** 2)
-        alpha = np.clip((radius - dist) / 1.5, 0.0, 1.0)
+        dist = np.sqrt((xs[x0:x1] - cx) ** 2 + (ys[y0:y1] - cy) ** 2)
+        alpha = np.minimum(np.maximum((radius - dist) / 1.5, 0.0), 1.0)
         noisy[window] = (1 - alpha) * noisy[window] + alpha * fill
         hit[window] = np.abs(noisy[window] - image[window]) >= AFFECTED_LEVEL
         affected += np.count_nonzero(hit[window])

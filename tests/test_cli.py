@@ -519,7 +519,7 @@ _MUST_EXIT_2 = [
     ("eigen", {"width": "1", "height": "1"}),
     # 2x1 images give constant synthetic patterns (once NaN), and 4 regions do not fit
     ("eigen", {"width": "2", "height": "1"}),
-    ("eigen", {"patterns": "100000"}),  # a 74.5 GiB Gram matrix
+    ("eigen", {"patterns": "2000000"}),  # a 1.4 GiB gallery of 12x8 images
     ("eigen", {"width": "100000", "height": "1000"}),  # a 2.2 GiB gallery of 3 patterns
 ]
 # The dispersed refusals, each with the text of the check that raises it.

@@ -196,12 +196,15 @@ def test_disk_noise_accounting_consistent():
 @given(
     st.integers(3, 41),
     st.integers(3, 41),
-    st.floats(0.1, 0.9),
+    st.floats(0.1, 1.0),
     st.integers(0, 2**32 - 1),
 )
+@example(60, 40, 0.1, 17)
+@example(60, 40, 1.0, 17)
 @settings(max_examples=150, deadline=None)
 def test_windowed_disk_noise_matches_whole_image_reference(width, height, coverage, seed):
-    # disk centres are uniform over the image, so disks overhang its edges
+    # disk centres are uniform over the image, so disks overhang its edges;
+    # at coverage 1.0 a probe runs all 64 disks
     image = np.random.default_rng(seed).uniform(0, 1, (height, width))
     rng, reference_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     noisy, affected = disk_noise(image, coverage, rng)
@@ -209,6 +212,17 @@ def test_windowed_disk_noise_matches_whole_image_reference(width, height, covera
     assert np.array_equal(noisy, expected)
     assert affected == expected_affected
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("low, high", [(0, 60), (0, 40), (0.15, 0.35), (0.85, 1.0), (0.0, 0.15)])
+def test_disk_draw_scaling_equals_generator_uniform_bitwise(low, high):
+    # disk_noise scales rng.random() doubles as low + (high - low) * u; a
+    # numpy build whose uniform fuses that multiply and add into one FMA
+    # would round differently, and this catches it
+    u = np.random.default_rng(3).random(10**5)
+    drawn = np.random.default_rng(3).uniform(low, high, 10**5)
+    scaled = np.array([low + (high - low) * v for v in u.tolist()])
+    assert np.array_equal(scaled.view(np.int64), drawn.view(np.int64))
 
 
 def test_probe_shape_checked():
@@ -335,10 +349,32 @@ def test_recognition_matches_reference_on_random_probes(case, probe_seed):
 def test_gram_chunks_of_one_region_give_identical_models(monkeypatch):
     gallery = small_gallery()
     whole = train_regional(gallery, 24, 5)
-    monkeypatch.setattr(eigenlab, "_GRAM_CHUNK_BYTES", 8 * gallery.count**2)
+    monkeypatch.setattr(eigenlab, "_EIGH_CHUNK_BYTES", 8 * gallery.count**2)
     single = train_regional(gallery, 24, 5)
     for field in ("mean", "basis", "eigenvalues", "coords"):
         assert np.array_equal(getattr(single, field), getattr(whole, field))
+
+
+@pytest.mark.parametrize("count", [20, 13, 12, 11])
+def test_training_side_switch_matches_power_iteration(count, monkeypatch):
+    # 8 regions of 3x4 pixels, d = 12: the covariance side for d < n and
+    # d = n - 1, the Gram side for d = n and d = n + 1
+    rng = np.random.default_rng(count)
+    gallery = PatternGallery(12, 8, rng.uniform(0, 1, (count, 8, 12)), tuple(range(count)))
+    model = train_regional(gallery, 8, 8)
+    for r, oracle in enumerate(train_regions(gallery, 8, 8)):
+        assert np.allclose(model.eigenvalues[r], oracle.eigenvalues, rtol=1e-6)
+        # orthonormal rows, each carrying its eigenvalue's share of the variance
+        assert np.allclose(model.basis[r] @ model.basis[r].T, np.eye(8), atol=1e-12)
+        assert np.allclose((model.coords[r] ** 2).sum(axis=0), model.eigenvalues[r], rtol=1e-9)
+    gm = train_global(gallery, 8)
+    for probe in (*gallery.patterns[:3], *rng.uniform(0, 1, (3, 8, 12))):
+        out = recognize(gm, model, probe, 0)
+        assert dataclasses.astuple(out) == reference_recognize(gallery, 8, 8, probe, 0)
+    monkeypatch.setattr(eigenlab, "_EIGH_CHUNK_BYTES", 1)
+    single = train_regional(gallery, 8, 8)
+    for field in ("mean", "basis", "eigenvalues", "coords", "label_ranks"):
+        assert np.array_equal(getattr(single, field), getattr(model, field))
 
 
 def test_reduce_sum_matches_add_reduce_bitwise():
